@@ -31,18 +31,14 @@ from .noise import (  # noqa: F401
 from .hilbert import (  # noqa: F401
     CommutingSet,
     DensityMatrix,
-    StateVector,
     born_weights,
     commutation_check,
-    normalize,
-    project,
 )
 from .dynamics import (  # noqa: F401
     EnsembleResult,
     TrajectoryRecord,
     evolve_colored_commuting,
     evolve_csl_white,
-    evolve_raw_linear,
     functional_derivative_probe,
     simulate_ensemble,
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CollapsimError, ConfigError
-from .hilbert import CommutingSet, DensityMatrix, commutation_check, pure_density
+from .hilbert import CommutingSet, DensityMatrix, pure_density
 from .kernels import (
     KernelFamily,
     kernel_cumulative,
@@ -34,7 +34,7 @@ from .kernels import (
 from .macrobody import MacroBody, MacroParams, com_offdiag_decay, macro_damping_rate
 from .master import evolve_colored_master, evolve_lindblad_csl
 from .noise import TimeGrid, checkpoint_indices, sample_paths, sample_white_increments, build_covariance
-from .dynamics import simulate_ensemble, COMMUTATION_TOL
+from .dynamics import simulate_ensemble
 from .fncheck import FN_FUNCTIONALS, fn_validate
 from .reduction import UNDECIDED, born_frequencies, classify_outcomes
 
@@ -216,18 +216,9 @@ def _run_trajectories(cfg, out_dir, kernel, seed_override, workers_override):
     threshold = float(red.get("threshold", 0.99))
     min_decided = float(red.get("min_decided", 0.95))
 
-    if kernel.family is KernelFamily.WHITE:
-        method = "trotter_white"
-    else:
-        if h0 is not None and commutation_check(h0, aset) > COMMUTATION_TOL:
-            raise ConfigError(
-                "colored noise with a non-commuting Hamiltonian has no closed solver; "
-                "drop H0 or make it commute with the eigenvalue table"
-            )
-        method = "exact_commuting"
     result = simulate_ensemble(
         aset, psi0, grid, kernel, n, seed,
-        h0=h0, method=method, checkpoints=checkpoint_indices(grid, ncp), workers=workers,
+        h0=h0, method="auto", checkpoints=checkpoint_indices(grid, ncp), workers=workers,
     )
     groups = aset.outcome_groups()
     labels = {g: grp.label for g, grp in enumerate(groups)}

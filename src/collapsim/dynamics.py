@@ -1,22 +1,27 @@
 """Trajectory-level solvers for the stochastic collapse equations.
 
 Three closed cases are implemented, exactly the ones that admit controlled
-numerics:
+numerics; ``simulate_ensemble`` selects one through its ``method``:
 
-* ``evolve_csl_white`` -- white noise with an arbitrary Hamiltonian, via
+* ``trotter_white`` -- white noise with an arbitrary Hamiltonian, via
   Trotter splitting: unitary half-step, exact diagonal stochastic factor
   exp(sum_i A_i w_i dt - gamma sum_i A_i^2 dt), unitary half-step.  The
   diagonal exponential realizes the Stratonovich reading exactly in the
   noise; the per-step error is O(dt^2) from the splitting alone.
-* ``evolve_colored_commuting`` -- any kernel when the Hamiltonian commutes
-  with the preferred-basis operators (or is absent).  Amplitudes propagate in
+* ``exact_commuting`` -- any kernel when the Hamiltonian commutes with the
+  preferred-basis operators (or is absent).  Amplitudes propagate in
   closed form, c_a(t) = c_a(t0) exp(-i E_a (t-t0) + sum_i a_ia x_i(t)
   - gamma sum_i a_ia^2 f(t)), with x from the sampled realization and f from
   the kernel transforms; there is no time-stepping error beyond the
   trapezoid x itself.
-* ``evolve_raw_linear`` -- the uncompensated linear equation, kept to
-  demonstrate that the mean squared norm drifts, which is what motivates the
+* ``raw_linear`` -- the uncompensated linear equation, kept to demonstrate
+  that the mean squared norm drifts, which is what motivates the
   compensating term.
+
+Every solver decision (psi0 preparation, default checkpoints, H0 validation,
+the commutation check) is made once in ``_solver``.  A single trajectory
+(``evolve_csl_white``, ``evolve_colored_commuting``) is a batch of one through
+the same dispatch.
 
 The general non-commuting colored equation has no closed functional
 derivative and is deliberately not time-stepped.
@@ -54,7 +59,6 @@ __all__ = [
     "ProbeResult",
     "evolve_csl_white",
     "evolve_colored_commuting",
-    "evolve_raw_linear",
     "functional_derivative_probe",
     "bump_realization",
     "simulate_ensemble",
@@ -62,6 +66,7 @@ __all__ = [
 
 COMMUTATION_TOL = 1.0e-10
 CHUNK = 512  # fixed ensemble chunk; never depends on worker count
+METHODS = ("trotter_white", "exact_commuting", "raw_linear")
 
 
 @dataclass
@@ -74,9 +79,6 @@ class TrajectoryRecord:
     x: np.ndarray | None  # (m, ncp) integrated noise at the checkpoints
     master_seed: int
     index: int
-
-    def weight(self, cp: int = -1) -> float:
-        return math.exp(self.log_weights[cp])
 
 
 def _unitary(h0: np.ndarray | None, dt: float) -> np.ndarray | None:
@@ -103,20 +105,29 @@ def _prepare_psi0(psi0) -> np.ndarray:
     return psi0 / n
 
 
+def _require_commuting(h0: np.ndarray, aset: CommutingSet) -> None:
+    worst = commutation_check(h0, aset)
+    if worst > COMMUTATION_TOL:
+        raise NonCommuting(
+            f"H0 does not commute with the preferred basis (max dev {worst:.2e}); "
+            "colored noise with a non-commuting Hamiltonian has no closed solver: "
+            "drop H0 or make it commute with the eigenvalue table"
+        )
+
+
 # ---------------------------------------------------------------------------
 # chunk kernels (vectorized over trajectories; row i = trajectory i)
 
 
-def _trotter_white_chunk(aset, psi0, grid, gamma, w_chunk, cp_idx, u_half, comp_gamma):
-    """Trotter stepping for a chunk of white realizations.
+def _stepped_chunk(aset, psi0, grid, drive, cp_idx, u_half, comp):
+    """Trotter stepping for a chunk: drive is (nc, m, steps), one value per step.
 
-    comp_gamma = gamma gives the compensated (norm-average-preserving)
-    dynamics; comp_gamma = 0 the raw linear equation.
+    comp = gamma sum_i a_ia^2 dt gives the compensated (norm-average-preserving)
+    dynamics; comp = 0 the raw linear equation.
     """
-    nc = w_chunk.shape[0]
+    nc = drive.shape[0]
     dt = grid.dt
     table = aset.table  # (m, d)
-    comp = comp_gamma * np.sum(table**2, axis=0) * dt  # (d,)
     psi = np.broadcast_to(psi0, (nc, psi0.size)).copy()
     offsets = np.zeros(nc)
     cp_set = {int(k): j for j, k in enumerate(cp_idx)}
@@ -134,7 +145,7 @@ def _trotter_white_chunk(aset, psi0, grid, gamma, w_chunk, cp_idx, u_half, comp_
     for k in range(grid.steps):
         if u_half is not None:
             psi = psi @ u_half.T
-        expo = (w_chunk[:, :, k] @ table) * dt - comp
+        expo = (drive[:, :, k] @ table) * dt - comp
         peak = expo.max(axis=1)
         psi = psi * np.exp(expo - peak[:, None])
         offsets += peak
@@ -176,88 +187,8 @@ def _exact_commuting_chunk(aset, psi0, x_cp, gamma_f_cp, energies_u):
     return amps, logw
 
 
-def _raw_colored_chunk(aset, psi0, grid, w_chunk, cp_idx, u_half):
-    """Uncompensated Trotter stepping for node-kind (colored) realizations.
-
-    The per-step stochastic exponent uses the trapezoid average of adjacent
-    node values, so with H0 = 0 the product telescopes to exp(A . x_trap).
-    """
-    nc = w_chunk.shape[0]
-    dt = grid.dt
-    table = aset.table
-    psi = np.broadcast_to(psi0, (nc, psi0.size)).copy()
-    offsets = np.zeros(nc)
-    cp_set = {int(k): j for j, k in enumerate(cp_idx)}
-    ncp = len(cp_idx)
-    amps = np.empty((nc, ncp, psi0.size), dtype=np.complex128)
-    logw = np.empty((nc, ncp))
-
-    def record(node):
-        j = cp_set.get(node)
-        if j is not None:
-            amps[:, j, :] = psi
-            logw[:, j] = 2.0 * offsets
-
-    record(0)
-    for k in range(grid.steps):
-        if u_half is not None:
-            psi = psi @ u_half.T
-        wbar = 0.5 * (w_chunk[:, :, k] + w_chunk[:, :, k + 1])
-        expo = (wbar @ table) * dt
-        peak = expo.max(axis=1)
-        psi = psi * np.exp(expo - peak[:, None])
-        offsets += peak
-        if u_half is not None:
-            psi = psi @ u_half.T
-        _normalize_rows(psi, offsets)
-        record(k + 1)
-    return amps, logw
-
-
 # ---------------------------------------------------------------------------
-# single-trajectory solvers
-
-
-def _single_record(grid, cp_idx, amps, logw, realization, x_cp):
-    return TrajectoryRecord(
-        times=grid.nodes()[cp_idx],
-        states=amps[0],
-        log_weights=logw[0],
-        x=x_cp,
-        master_seed=realization.master_seed,
-        index=realization.index,
-    )
-
-
-def _x_at_checkpoints(realization: NoiseRealization, cp_idx) -> np.ndarray:
-    return realization.x[:, cp_idx]
-
-
-def evolve_csl_white(
-    h0,
-    aset: CommutingSet,
-    psi0,
-    grid: TimeGrid,
-    gamma: float,
-    realization: NoiseRealization,
-    checkpoints=None,
-    compensator_gamma: float | None = None,
-) -> TrajectoryRecord:
-    """Stratonovich Trotter propagation of one white-noise trajectory.
-
-    ``compensator_gamma`` defaults to gamma (the compensated equation);
-    passing 0 yields the raw linear dynamics on the same code path.
-    """
-    if realization.kind != "increments":
-        raise ConfigError("evolve_csl_white needs a white (increment-kind) realization")
-    psi0 = _prepare_psi0(psi0)
-    cp_idx = checkpoint_indices(grid, 50) if checkpoints is None else np.asarray(checkpoints)
-    u_half = _unitary(validate_hamiltonian(h0, psi0.size), 0.5 * grid.dt) if h0 is not None else None
-    comp = gamma if compensator_gamma is None else compensator_gamma
-    amps, logw = _trotter_white_chunk(
-        aset, psi0, grid, gamma, realization.w[None, :, :], cp_idx, u_half, comp
-    )
-    return _single_record(grid, cp_idx, amps, logw, realization, _x_at_checkpoints(realization, cp_idx))
+# the one solver dispatch
 
 
 def _f_values(kernel: CorrelationKernel, times, t0: float) -> np.ndarray:
@@ -271,6 +202,78 @@ def _checkpoint_unitaries(h0, times, t0):
     ]
 
 
+def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
+    """Resolve a solver once: returns (method, psi0, cp_idx, chunk).
+
+    ``chunk(kind, w, x_cp)`` maps stacked realizations -- w (nc, m, steps or
+    nodes) of the given kind and x_cp (nc, m, ncp) -- to (amps, log weights).
+    ``kernel`` is needed for "auto" and "exact_commuting"; when it is None
+    "trotter_white" trusts the caller that the noise is white.
+    """
+    if method == "auto":
+        method = "trotter_white" if kernel.family is KernelFamily.WHITE else "exact_commuting"
+    if method not in METHODS:
+        raise ConfigError(f"unknown solver method {method!r}; pick from {METHODS}")
+    if method == "trotter_white" and kernel is not None and kernel.family is not KernelFamily.WHITE:
+        raise ConfigError("trotter_white requires a white kernel")
+    psi0 = _prepare_psi0(psi0)
+    cp_idx = checkpoint_indices(grid, 50) if checkpoints is None else np.asarray(checkpoints)
+    if h0 is not None:
+        h0 = validate_hamiltonian(h0, psi0.size)
+
+    if method == "exact_commuting":
+        times = grid.nodes()[cp_idx]
+        energies_u = None
+        if h0 is not None:
+            _require_commuting(h0, aset)
+            energies_u = _checkpoint_unitaries(h0, times, grid.t0)
+        f_cp = _f_values(kernel, times, grid.t0)
+
+        def chunk(kind, w, x_cp):
+            return _exact_commuting_chunk(aset, psi0, x_cp, f_cp, energies_u)
+
+        return method, psi0, cp_idx, chunk
+
+    u_half = _unitary(h0, 0.5 * grid.dt)
+    comp = gamma * np.sum(aset.table**2, axis=0) * grid.dt if method == "trotter_white" else 0.0
+
+    def chunk(kind, w, x_cp):
+        # node-kind (colored) paths step on the trapezoid average of adjacent
+        # nodes, so with H0 = 0 the product telescopes to exp(A . x_trap)
+        drive = w if kind == "increments" else 0.5 * (w[..., :-1] + w[..., 1:])
+        return _stepped_chunk(aset, psi0, grid, drive, cp_idx, u_half, comp)
+
+    return method, psi0, cp_idx, chunk
+
+
+def _single(method, aset, psi0, grid, h0, checkpoints, gamma, kernel, realization):
+    _, _, cp_idx, chunk = _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel)
+    x_cp = realization.x[:, cp_idx]
+    amps, logw = chunk(realization.kind, realization.w[None, :, :], x_cp[None, :, :])
+    return TrajectoryRecord(
+        grid.nodes()[cp_idx], amps[0], logw[0], x_cp, realization.master_seed, realization.index
+    )
+
+
+# ---------------------------------------------------------------------------
+# single-trajectory solvers (batches of one)
+
+
+def evolve_csl_white(
+    h0,
+    aset: CommutingSet,
+    psi0,
+    grid: TimeGrid,
+    gamma: float,
+    realization: NoiseRealization,
+    checkpoints=None,
+) -> TrajectoryRecord:
+    """Stratonovich Trotter propagation of one white-noise trajectory."""
+    if realization.kind != "increments":
+        raise ConfigError("evolve_csl_white needs a white (increment-kind) realization")
+    return _single("trotter_white", aset, psi0, grid, h0, checkpoints, gamma, None, realization)
+
+
 def evolve_colored_commuting(
     aset: CommutingSet,
     psi0,
@@ -281,44 +284,9 @@ def evolve_colored_commuting(
     checkpoints=None,
 ) -> TrajectoryRecord:
     """Exact per-amplitude propagation for the commuting case (any kernel)."""
-    psi0 = _prepare_psi0(psi0)
-    cp_idx = checkpoint_indices(grid, 50) if checkpoints is None else np.asarray(checkpoints)
-    energies_u = None
-    if h0 is not None:
-        h0 = validate_hamiltonian(h0, psi0.size)
-        worst = commutation_check(h0, aset)
-        if worst > COMMUTATION_TOL:
-            raise NonCommuting(
-                f"H0 does not commute with the preferred basis (max dev {worst:.2e})"
-            )
-        energies_u = _checkpoint_unitaries(h0, grid.nodes()[cp_idx], grid.t0)
-    f_cp = _f_values(kernel, grid.nodes()[cp_idx], grid.t0)
-    x_cp = _x_at_checkpoints(realization, cp_idx)
-    amps, logw = _exact_commuting_chunk(aset, psi0, x_cp[None, :, :], f_cp, energies_u)
-    return _single_record(grid, cp_idx, amps, logw, realization, x_cp)
-
-
-def evolve_raw_linear(
-    h0,
-    aset: CommutingSet,
-    psi0,
-    grid: TimeGrid,
-    realization: NoiseRealization,
-    checkpoints=None,
-) -> TrajectoryRecord:
-    """Uncompensated linear propagation; the mean squared norm drifts upward."""
-    psi0 = _prepare_psi0(psi0)
-    cp_idx = checkpoint_indices(grid, 50) if checkpoints is None else np.asarray(checkpoints)
-    u_half = _unitary(validate_hamiltonian(h0, psi0.size), 0.5 * grid.dt) if h0 is not None else None
-    if realization.kind == "increments":
-        amps, logw = _trotter_white_chunk(
-            aset, psi0, grid, 0.0, realization.w[None, :, :], cp_idx, u_half, 0.0
-        )
-    else:
-        amps, logw = _raw_colored_chunk(
-            aset, psi0, grid, realization.w[None, :, :], cp_idx, u_half
-        )
-    return _single_record(grid, cp_idx, amps, logw, realization, _x_at_checkpoints(realization, cp_idx))
+    return _single(
+        "exact_commuting", aset, psi0, grid, h0, checkpoints, kernel.gamma, kernel, realization
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +349,8 @@ def functional_derivative_probe(
     the endpoint of a white path (the delta then straddles the boundary).
     Bumps strictly beyond the evaluation time must produce the zero vector.
     """
-    if h0 is not None and commutation_check(np.asarray(h0, complex), aset) > COMMUTATION_TOL:
-        raise NonCommuting("probe is only defined for the commuting case")
+    if h0 is not None:
+        _require_commuting(np.asarray(h0, complex), aset)
     eval_index = grid.steps if eval_index is None else int(eval_index)
     cp = np.array([0, eval_index]) if eval_index != 0 else np.array([0])
 
@@ -414,7 +382,7 @@ def functional_derivative_probe(
 
 @dataclass
 class EnsembleResult:
-    """Gathered trajectory records in trajectory-index order (packed arrays)."""
+    """Gathered trajectories in trajectory-index order (packed arrays)."""
 
     grid: TimeGrid
     checkpoint_idx: np.ndarray
@@ -432,14 +400,6 @@ class EnsembleResult:
     @property
     def dim(self) -> int:
         return self.amps.shape[2]
-
-    def record(self, i: int) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            self.times, self.amps[i], self.log_weights[i], self.x[i], self.master_seed, i
-        )
-
-    def records(self) -> list[TrajectoryRecord]:
-        return [self.record(i) for i in range(self.n)]
 
 
 def simulate_ensemble(
@@ -465,34 +425,17 @@ def simulate_ensemble(
     """
     if n < 1:
         raise ConfigError(f"ensemble needs n >= 1 trajectories, got {n}")
-    psi0 = _prepare_psi0(psi0)
-    cp_idx = checkpoint_indices(grid, 50) if checkpoints is None else np.asarray(checkpoints)
-    if method == "auto":
-        method = "trotter_white" if kernel.family is KernelFamily.WHITE else "exact_commuting"
+    method, psi0, cp_idx, chunk = _solver(
+        method, aset, psi0, grid, h0, checkpoints, kernel.gamma, kernel
+    )
     is_white = kernel.family is KernelFamily.WHITE
-    if method == "trotter_white" and not is_white:
-        raise ConfigError("trotter_white requires a white kernel")
+    factor = None if is_white else build_covariance(grid, kernel)
+    kind = "increments" if is_white else "nodes"
 
     m = aset.num_ops
-    d = psi0.size
-    ncp = len(cp_idx)
-    factor = None if is_white else build_covariance(grid, kernel)
-
-    u_half = None
-    energies_u = None
-    if h0 is not None:
-        h0 = validate_hamiltonian(h0, d)
-        if method in ("exact_commuting",):
-            if commutation_check(h0, aset) > COMMUTATION_TOL:
-                raise NonCommuting("exact_commuting requires [A_i, H0] = 0")
-            energies_u = _checkpoint_unitaries(h0, grid.nodes()[cp_idx], grid.t0)
-        else:
-            u_half = _unitary(h0, 0.5 * grid.dt)
-    f_cp = _f_values(kernel, grid.nodes()[cp_idx], grid.t0) if method == "exact_commuting" else None
-
-    amps = np.empty((n, ncp, d), dtype=np.complex128)
-    logw = np.empty((n, ncp))
-    x_out = np.empty((n, m, ncp))
+    amps = np.empty((n, len(cp_idx), psi0.size), dtype=np.complex128)
+    logw = np.empty((n, len(cp_idx)))
+    x_out = np.empty((n, m, len(cp_idx)))
 
     def run_chunk(lo: int, hi: int):
         count = hi - lo
@@ -501,25 +444,8 @@ def simulate_ensemble(
         else:
             paths = sample_paths(factor, m, count, master_seed, start_index + lo)
         w_stack = np.stack([p.w for p in paths])
-        x_stack = np.stack([p.x for p in paths])
-        x_cp = x_stack[:, :, cp_idx]
-        if method == "trotter_white":
-            a, lw = _trotter_white_chunk(
-                aset, psi0, grid, kernel.gamma, w_stack, cp_idx, u_half, kernel.gamma
-            )
-        elif method == "exact_commuting":
-            a, lw = _exact_commuting_chunk(aset, psi0, x_cp, f_cp, energies_u)
-        elif method == "raw_linear":
-            if is_white:
-                a, lw = _trotter_white_chunk(
-                    aset, psi0, grid, 0.0, w_stack, cp_idx, u_half, 0.0
-                )
-            else:
-                a, lw = _raw_colored_chunk(aset, psi0, grid, w_stack, cp_idx, u_half)
-        else:
-            raise ConfigError(f"unknown solver method {method!r}")
-        amps[lo:hi] = a
-        logw[lo:hi] = lw
+        x_cp = np.stack([p.x for p in paths])[:, :, cp_idx]
+        amps[lo:hi], logw[lo:hi] = chunk(kind, w_stack, x_cp)
         x_out[lo:hi] = x_cp
 
     bounds = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]

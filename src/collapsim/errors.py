@@ -39,20 +39,19 @@ class UnknownFunctional(ConfigError):
     """Functional name not in the fixed analytic menu."""
 
 
+class NonCommuting(ConfigError):
+    """Hamiltonian does not commute with the preferred-basis operators.
+
+    An input condition (no closed solver exists for it), so it exits 2.
+    """
+
+
 class KernelNotPSD(NumericalError):
     """Covariance factorization failed even after jitter escalation."""
 
 
 class ZeroNorm(NumericalError):
     """State vector norm underflowed to zero despite log-offset bookkeeping."""
-
-
-class EmptyEigenmanifold(ConfigError):
-    """Projection selector matched no basis state."""
-
-
-class NonCommuting(NumericalError):
-    """Hamiltonian does not commute with the preferred-basis operators."""
 
 
 class DegenerateEnsemble(NumericalError):

@@ -1,32 +1,24 @@
-"""Finite-dimensional states, preferred-basis operators, and density matrices.
+"""Preferred-basis operators, Hamiltonian checks, and density matrices.
 
 Everything lives in the joint eigenbasis of the preferred-basis operators:
 the operators are given directly as an eigenvalue table a[i, alpha] (operator
 i, basis state alpha), which makes them simultaneously diagonal by
-construction.  hbar = 1 throughout.
-
-Raw (unnormalized) vectors carry a separate log-magnitude offset so that
-cooking weights stay representable even when amplitudes would under- or
-overflow: the stored amplitudes are a mantissa of order one and the true
-vector is exp(log_offset) times it.
+construction.  hbar = 1 throughout.  State vectors are plain complex arrays;
+the solvers in ``dynamics`` carry their log-magnitude offsets.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyEigenmanifold, ZeroNorm
+from .errors import ConfigError
 
 __all__ = [
-    "StateVector",
     "CommutingSet",
     "OutcomeGroup",
     "DensityMatrix",
-    "normalize",
-    "project",
     "commutation_check",
     "validate_hamiltonian",
     "born_weights",
@@ -35,58 +27,6 @@ __all__ = [
 HERMITICITY_TOL = 1.0e-12
 TRACE_TOL = 1.0e-10
 EIGENVALUE_FLOOR = -1.0e-9
-
-
-@dataclass
-class StateVector:
-    """Complex amplitudes in the shared basis, times exp(log_offset)."""
-
-    amplitudes: np.ndarray
-    log_offset: float = 0.0
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.ndim != 1:
-            raise ConfigError("state amplitudes must be a 1-D complex array")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def norm_sq(self) -> float:
-        """Squared norm of the mantissa (excludes the log offset)."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def log_norm_sq(self) -> float:
-        """log ||psi||^2 including the offset."""
-        ns = self.norm_sq()
-        if ns == 0.0:
-            raise ZeroNorm("state vector has exactly zero mantissa norm")
-        return math.log(ns) + 2.0 * self.log_offset
-
-    def is_normalized(self, tol: float = 1.0e-12) -> bool:
-        return self.log_offset == 0.0 and abs(self.norm_sq() - 1.0) <= tol
-
-
-@dataclass(frozen=True)
-class NormalizeResult:
-    state: StateVector
-    weight: float  # exp(log_weight); may under/overflow to 0/inf in float
-    log_weight: float
-
-
-def normalize(v: StateVector) -> NormalizeResult:
-    """Unit vector plus the squared norm (the cooking weight), offset-aware."""
-    ns = v.norm_sq()
-    if ns == 0.0:
-        raise ZeroNorm("cannot normalize a zero vector")
-    log_weight = math.log(ns) + 2.0 * v.log_offset
-    unit = StateVector(v.amplitudes / math.sqrt(ns))
-    try:
-        weight = math.exp(log_weight)
-    except OverflowError:
-        weight = math.inf
-    return NormalizeResult(unit, weight, log_weight)
 
 
 @dataclass(frozen=True)
@@ -158,18 +98,6 @@ class CommutingSet:
         for g, grp in enumerate(self.outcome_groups()):
             out[grp.indices] = g
         return out
-
-
-def project(v: StateVector, aset: CommutingSet, op_index: int, eigenvalue: float) -> StateVector:
-    """Zero every amplitude outside the selected eigenmanifold (unnormalized)."""
-    if not 0 <= op_index < aset.num_ops:
-        raise ConfigError(f"operator index {op_index} out of range")
-    mask = aset.table[op_index] == eigenvalue
-    if not mask.any():
-        raise EmptyEigenmanifold(
-            f"no basis state with eigenvalue {eigenvalue} for operator {op_index}"
-        )
-    return StateVector(np.where(mask, v.amplitudes, 0.0), v.log_offset)
 
 
 def validate_hamiltonian(h0: np.ndarray, dim: int | None = None) -> np.ndarray:

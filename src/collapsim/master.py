@@ -27,16 +27,13 @@ from .noise import TimeGrid, checkpoint_indices, fsum_ordered
 
 __all__ = [
     "DensityPath",
-    "DecayReport",
     "ObservableReport",
     "evolve_lindblad_csl",
     "evolve_colored_master",
     "offdiag_analytic",
     "observable_mean",
     "ensemble_to_density",
-    "offdiag_decay_report",
     "fit_exponential_rate",
-    "log_derivative",
 ]
 
 TRACE_DRIFT_TOL = 1.0e-8
@@ -262,43 +259,6 @@ def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> Densit
     return DensityPath(result.times, rhos, err_re, err_im)
 
 
-@dataclass
-class DecayReport:
-    """Analytic vs ensemble evolution of one density-matrix element."""
-
-    pair: tuple[int, int]
-    times: np.ndarray
-    analytic: np.ndarray
-    ensemble: np.ndarray
-    stderr: np.ndarray
-
-
-def offdiag_decay_report(
-    ensemble_path: DensityPath,
-    aset: CommutingSet,
-    kernel: CorrelationKernel,
-    alpha: int,
-    beta: int,
-    rho0: np.ndarray,
-    t0: float | None = None,
-) -> DecayReport:
-    t0 = ensemble_path.times[0] if t0 is None else t0
-    analytic = np.array(
-        [
-            offdiag_analytic(aset, kernel, alpha, beta, float(t), t0) * rho0[alpha, beta]
-            for t in ensemble_path.times
-        ]
-    )
-    err = (
-        ensemble_path.stderr_re[:, alpha, beta]
-        if ensemble_path.stderr_re is not None
-        else np.zeros(len(ensemble_path.times))
-    )
-    return DecayReport(
-        (alpha, beta), ensemble_path.times, analytic, ensemble_path.offdiag(alpha, beta), err
-    )
-
-
 def fit_exponential_rate(times, values) -> float:
     """Least-squares decay rate r of |v| ~ exp(-r t)."""
     times = np.asarray(times, dtype=float)
@@ -308,12 +268,3 @@ def fit_exponential_rate(times, values) -> float:
     slope = np.polyfit(times, np.log(mags), 1)[0]
     return float(-slope)
 
-
-def log_derivative(times, values, j: int) -> float:
-    """Centered difference of ln|v| at checkpoint j (instantaneous rate is -this)."""
-    if not 0 < j < len(times) - 1:
-        raise ConfigError("log_derivative needs an interior checkpoint")
-    return float(
-        (math.log(abs(values[j + 1])) - math.log(abs(values[j - 1])))
-        / (times[j + 1] - times[j - 1])
-    )

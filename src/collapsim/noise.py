@@ -41,7 +41,6 @@ __all__ = [
     "left_cumulative",
     "checkpoint_indices",
     "fsum_ordered",
-    "fsum_mean",
 ]
 
 # Jitter escalation ladder, as multiples of max(diag).
@@ -233,8 +232,3 @@ def sample_white_increments(
 def fsum_ordered(values) -> float:
     """Compensated (exact) sum in the given order; the ensemble reduction primitive."""
     return math.fsum(np.asarray(values, dtype=float).ravel())
-
-
-def fsum_mean(values) -> float:
-    arr = np.asarray(values, dtype=float).ravel()
-    return fsum_ordered(arr) / arr.size

@@ -111,11 +111,12 @@ def test_missing_config_and_bad_json(tmp_path):
     assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_noncommuting_colored_rejected(tmp_path):
+def test_noncommuting_colored_rejected(tmp_path, capsys):
     cfg = traj_config()
     cfg["system"]["hamiltonian"] = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
     code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
+    assert "drop H0 or make it commute with the eigenvalue table" in capsys.readouterr().err
 
 
 def test_rerun_and_worker_count_byte_identical(tmp_path):

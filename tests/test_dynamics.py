@@ -11,7 +11,6 @@ from collapsim import (
     build_covariance,
     evolve_colored_commuting,
     evolve_csl_white,
-    evolve_raw_linear,
     exponential_kernel,
     functional_derivative_probe,
     gaussian_kernel,
@@ -20,8 +19,8 @@ from collapsim import (
     simulate_ensemble,
     white_kernel,
 )
-from collapsim.dynamics import bump_realization
-from collapsim.errors import NonCommuting
+from collapsim.dynamics import CHUNK, bump_realization
+from collapsim.errors import ConfigError, NonCommuting
 from collapsim.kernels import kernel_cumulative, kernel_double_integral
 from collapsim.noise import NoiseRealization, left_cumulative, trapezoid_cumulative
 
@@ -119,15 +118,19 @@ def test_white_kernel_exact_solver_matches_trotter(two_state, psi_born):
         assert np.allclose(np.abs(a.states), np.abs(b.states), atol=1e-6)
 
 
-def test_raw_linear_white_equals_uncompensated_trotter(two_state, psi_born):
+def test_raw_linear_white_matches_closed_form(two_state, psi_born):
+    # white noise, H0 = 0, no compensator: the step product telescopes to
+    # psi0_a exp(a . x(t)), so |psi_raw|^2 = sum_a |psi0_a|^2 exp(2 a . x)
     grid = TimeGrid(0.0, 1.0, 100)
-    rz = sample_white_increments(grid, 0.9, 1, 1, master_seed=10)[0]
-    raw = evolve_raw_linear(None, two_state, psi_born, grid, rz)
-    same = evolve_csl_white(
-        None, two_state, psi_born, grid, 0.9, rz, compensator_gamma=0.0
+    res = simulate_ensemble(
+        two_state, psi_born, grid, white_kernel(0.9), 64, 10, method="raw_linear",
+        checkpoints=np.array([0, 37, 100]),
     )
-    assert np.array_equal(raw.log_weights, same.log_weights)
-    assert np.array_equal(raw.states, same.states)
+    expo = 2.0 * np.einsum("ia,nij->nja", two_state.table, res.x)  # (n, ncp, d)
+    expo += np.log(np.abs(psi_born) ** 2)
+    peak = expo.max(axis=2)
+    want = peak + np.log(np.sum(np.exp(expo - peak[:, :, None]), axis=2))
+    assert np.allclose(res.log_weights, want, rtol=0, atol=1e-12)
 
 
 def test_raw_linear_drift_detected(two_state, psi_born):
@@ -251,8 +254,11 @@ def test_noncommuting_h0_rejected(two_state, psi_born):
     grid = TimeGrid(0.0, 0.5, 50)
     rz = sample_paths(build_covariance(grid, kernel), 1, 1, master_seed=2)[0]
     h0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    with pytest.raises(NonCommuting):
+    with pytest.raises(NonCommuting) as err:
         evolve_colored_commuting(two_state, psi_born, grid, kernel, rz, h0=h0)
+    # an input condition, not a numerical failure: the CLI exits 2 for it
+    assert isinstance(err.value, ConfigError)
+    assert "drop H0 or make it commute with the eigenvalue table" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +353,46 @@ def test_ensemble_worker_invariance(two_state, psi_born):
     assert np.array_equal(r1.x, r4.x)
 
 
-def test_record_accessor_roundtrip(two_state, psi_born):
-    grid = TimeGrid(0.0, 0.5, 50)
-    res = simulate_ensemble(
-        two_state, psi_born, grid, white_kernel(0.5), 3, 44, checkpoints=np.array([0, 50])
+@pytest.mark.parametrize("family", ["white", "exponential"])
+def test_prefix_shard_and_batch_of_one_invariance(family):
+    # trajectory k depends only on (master_seed, k): a prefix, a shard and a
+    # single trajectory all reproduce the matching rows across the CHUNK edge
+    d, n, seed = 6, 1100, 21
+    assert n > 2 * CHUNK
+    aset = CommutingSet([np.linspace(-1.0, 1.0, d), np.arange(d) % 2])
+    psi0 = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    grid = TimeGrid(0.0, 0.5, 40)
+    cp = np.array([0, 13, 40])
+    if family == "white":
+        kernel = white_kernel(0.6)
+        h0 = np.diag(np.full(d - 1, 0.3), 1) + np.diag(np.full(d - 1, 0.3), -1)
+    else:
+        kernel = exponential_kernel(0.6, 0.2)
+        h0 = np.diag(np.linspace(0.0, 0.5, d))
+    run = lambda count, start=0: simulate_ensemble(  # noqa: E731
+        aset, psi0, grid, kernel, count, seed, h0=h0, checkpoints=cp, start_index=start
     )
-    rec = res.record(1)
-    assert rec.index == 1
-    assert rec.states.shape == (2, 2)
-    assert math.isfinite(rec.weight())
-    assert len(res.records()) == 3
+    full = run(n)
+    for part, rows in ((run(600), slice(0, 600)), (run(500, 600), slice(600, n))):
+        assert np.array_equal(part.amps, full.amps[rows])
+        assert np.array_equal(part.log_weights, full.log_weights[rows])
+        assert np.array_equal(part.x, full.x[rows])
+
+    # a single trajectory is a batch of one; a 1-row matmul takes a different
+    # BLAS path than a 512-row chunk, so rows agree to rounding, not bit for
+    # bit (max deviation about 2e-16 exact_commuting and 3e-15 trotter_white
+    # with OpenBLAS 0.3 on x86-64)
+    if family == "white":
+        paths = sample_white_increments(grid, kernel.gamma, aset.num_ops, 3, seed, start_index=700)
+        recs = [evolve_csl_white(h0, aset, psi0, grid, kernel.gamma, rz, checkpoints=cp) for rz in paths]
+    else:
+        paths = sample_paths(build_covariance(grid, kernel), aset.num_ops, 3, seed, start_index=700)
+        recs = [evolve_colored_commuting(aset, psi0, grid, kernel, rz, h0=h0, checkpoints=cp) for rz in paths]
+    for j, rec in enumerate(recs):
+        assert rec.index == 700 + j
+        assert np.array_equal(rec.x, full.x[700 + j])
+        assert np.allclose(rec.states, full.amps[700 + j], rtol=0, atol=1e-12)
+        assert np.allclose(rec.log_weights, full.log_weights[700 + j], rtol=0, atol=1e-12)
 
 
 def test_checkpoint_times_subset_of_nodes(two_state, psi_born):

@@ -1,73 +1,11 @@
-"""State, operator, and density-matrix primitives."""
-
-import math
+"""Operator, Hamiltonian, and density-matrix primitives."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from collapsim import CommutingSet, DensityMatrix, StateVector, born_weights, commutation_check, normalize, project
-from collapsim.errors import ConfigError, EmptyEigenmanifold, ZeroNorm
+from collapsim import CommutingSet, DensityMatrix, born_weights, commutation_check
+from collapsim.errors import ConfigError
 from collapsim.hilbert import pure_density, validate_hamiltonian
-
-
-def test_normalize_trivial_cases():
-    res = normalize(StateVector([1.0, 0.0]))
-    assert np.allclose(res.state.amplitudes, [1.0, 0.0])
-    assert res.weight == pytest.approx(1.0)
-    res = normalize(StateVector([3.0, 4.0]))
-    assert np.allclose(res.state.amplitudes, [0.6, 0.8])
-    assert res.weight == pytest.approx(25.0)
-    assert res.log_weight == pytest.approx(math.log(25.0))
-
-
-def test_normalize_with_extreme_log_offset():
-    # 60-digit oracle: log({0.3^2 + 0.4^2} e^{-1600}) = -1601.386294361119890...
-    res = normalize(StateVector([0.3, 0.4], log_offset=-800.0))
-    assert res.log_weight == pytest.approx(-1601.3862943611198, rel=1e-15)
-    assert math.isfinite(res.log_weight)
-    assert res.weight == 0.0  # the float weight underflows; the log carries it
-    assert np.allclose(res.state.amplitudes, [0.6, 0.8])
-
-
-def test_normalize_zero_raises():
-    with pytest.raises(ZeroNorm):
-        normalize(StateVector([0.0, 0.0]))
-
-
-@given(
-    re1=st.floats(-5, 5),
-    im1=st.floats(-5, 5),
-    re2=st.floats(-5, 5),
-    im2=st.floats(-5, 5),
-)
-@settings(max_examples=100, deadline=None)
-def test_normalize_is_unit(re1, im1, re2, im2):
-    v = np.array([complex(re1, im1), complex(re2, im2)])
-    if np.sum(np.abs(v) ** 2) < 1e-12:
-        return
-    res = normalize(StateVector(v))
-    assert res.state.norm_sq() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_project_idempotent_and_complete(two_state):
-    v = StateVector([0.6, 0.8])
-    p1 = project(v, two_state, 0, 1.0)
-    p2 = project(p1, two_state, 0, 1.0)
-    assert np.array_equal(p1.amplitudes, p2.amplitudes)
-    total = sum(
-        project(v, two_state, 0, ev).norm_sq() for ev in (1.0, -1.0)
-    )
-    assert total == pytest.approx(v.norm_sq(), rel=1e-14)
-    # Born weights of the initial amplitudes
-    assert project(v, two_state, 0, 1.0).norm_sq() == pytest.approx(0.36)
-    assert project(v, two_state, 0, -1.0).norm_sq() == pytest.approx(0.64)
-
-
-def test_project_empty_manifold_raises(two_state):
-    with pytest.raises(EmptyEigenmanifold):
-        project(StateVector([1.0, 0.0]), two_state, 0, 2.0)
 
 
 def test_commutation_check_cases(two_state):

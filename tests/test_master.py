@@ -21,12 +21,7 @@ from collapsim import (
 )
 from collapsim.errors import StepSizeRejected
 from collapsim.hilbert import pure_density
-from collapsim.master import (
-    _rk4_density,
-    fit_exponential_rate,
-    log_derivative,
-    offdiag_decay_report,
-)
+from collapsim.master import _rk4_density, fit_exponential_rate
 
 
 @pytest.fixture
@@ -79,8 +74,9 @@ def test_colored_master_exponential_rate_factor(two_state, rho_born):
     vals = path.offdiag(0, 1).real
     for target_t in (0.2, 0.4, 0.8):
         j = int(np.argmin(np.abs(path.times - target_t)))
-        rate = -log_derivative(path.times, vals, j)
-        want = 2.0 * kernel.gamma * (1.0 - math.exp(-path.times[j] / 0.4))
+        t = path.times
+        rate = -(math.log(abs(vals[j + 1])) - math.log(abs(vals[j - 1]))) / (t[j + 1] - t[j - 1])
+        want = 2.0 * kernel.gamma * (1.0 - math.exp(-t[j] / 0.4))
         assert rate == pytest.approx(want, rel=1e-3)
 
 
@@ -190,9 +186,10 @@ def test_decay_report_and_rate_fit(two_state, psi_born):
         two_state, psi_born, grid, kernel, 200, 11, checkpoints=np.arange(0, 101, 10)
     )
     est = ensemble_to_density(res, "raw")
-    rep = offdiag_decay_report(est, two_state, kernel, 0, 1, pure_density(psi_born))
-    assert np.allclose(rep.analytic.real, rep.ensemble.real, rtol=1e-10)
-    rate = fit_exponential_rate(rep.times, rep.ensemble.real)
+    rho01 = psi_born[0] * psi_born[1]
+    analytic = [offdiag_analytic(two_state, kernel, 0, 1, float(t), 0.0) * rho01 for t in est.times]
+    assert np.allclose(analytic, est.offdiag(0, 1).real, rtol=1e-10)
+    rate = fit_exponential_rate(est.times, est.offdiag(0, 1).real)
     assert rate == pytest.approx(2.0 * 0.5, rel=1e-9)
 
 

@@ -20,7 +20,6 @@ from collapsim.kernels import kernel_double_integral
 from collapsim.noise import (
     checkpoint_indices,
     child_generator,
-    fsum_mean,
     left_cumulative,
     trapezoid_cumulative,
 )
@@ -186,11 +185,6 @@ def test_integrated_variance_matches_gamma_f(kernel):
         target = kernel.gamma * kernel_double_integral(kernel, float(t), 0.0)
         sample = x[:, idx] ** 2
         assert abs(float(np.mean(sample)) - target) <= 5.0 * stderr_of_mean(sample)
-
-
-def test_fsum_mean_matches_numpy_scale():
-    vals = np.linspace(-1.0, 1.0, 1001)
-    assert fsum_mean(vals) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sample_count_validation():
