@@ -65,6 +65,14 @@ def _need(block: dict, key: str, where: str):
     return block[key]
 
 
+def _as_int(value, where: str) -> int:
+    """An integer config value: an int or an integral float such as 1e4, never a bool."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_complex_entry(v, where: str) -> complex:
     if isinstance(v, (int, float)):
         return complex(v, 0.0)
@@ -75,7 +83,7 @@ def _as_complex_entry(v, where: str) -> complex:
 
 def _parse_system(block: dict):
     _reject_unknown(block, _SYSTEM_KEYS, "system")
-    d = int(_need(block, "dimension", "system"))
+    d = _as_int(_need(block, "dimension", "system"), "system.dimension")
     if d < 1:
         raise ConfigError("system.dimension must be >= 1")
     table = np.asarray(_need(block, "eigenvalues", "system"), dtype=float)
@@ -109,28 +117,33 @@ def _parse_grid(block: dict) -> TimeGrid:
     return TimeGrid(
         float(_need(block, "t0", "grid")),
         float(_need(block, "t1", "grid")),
-        int(_need(block, "steps", "grid")),
+        _as_int(_need(block, "steps", "grid"), "grid.steps"),
     )
 
 
 def _parse_ensemble(block: dict, seed_override, workers_override):
     _reject_unknown(block, _ENSEMBLE_KEYS, "ensemble")
-    n = int(_need(block, "trajectories", "ensemble"))
+    n = _as_int(_need(block, "trajectories", "ensemble"), "ensemble.trajectories")
     if n < 1:
         raise ConfigError("ensemble.trajectories must be >= 1")
     seed = seed_override if seed_override is not None else block.get("master_seed")
     if seed is None:
         raise ConfigError("ensemble.master_seed is required (or pass --seed)")
-    seed = int(seed)
+    seed = _as_int(seed, "ensemble.master_seed")
     if not 0 <= seed < 2**64:
         raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
-    workers = workers_override if workers_override is not None else int(block.get("workers", 1))
+    workers = workers_override
+    if workers is None:
+        workers = _as_int(block.get("workers", 1), "ensemble.workers")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    checkpoints = int(block.get("checkpoints", 50))
+    checkpoints = _as_int(block.get("checkpoints", 50), "ensemble.checkpoints")
     if checkpoints < 2:
         raise ConfigError("checkpoints must be >= 2")
-    return n, seed, workers, checkpoints, bool(block.get("dump_paths", False))
+    dump_paths = block.get("dump_paths", False)
+    if not isinstance(dump_paths, bool):
+        raise ConfigError(f"ensemble.dump_paths must be true or false, got {dump_paths!r}")
+    return n, seed, workers, checkpoints, dump_paths
 
 
 def _fmt(x) -> str:
@@ -271,7 +284,7 @@ def _run_master(cfg, out_dir, kernel):
     ncp = 50
     if "ensemble" in cfg:
         _reject_unknown(cfg["ensemble"], _ENSEMBLE_KEYS, "ensemble")
-        ncp = int(cfg["ensemble"].get("checkpoints", 50))
+        ncp = _as_int(cfg["ensemble"].get("checkpoints", 50), "ensemble.checkpoints")
     rho0 = DensityMatrix(pure_density(psi0))
     cp = checkpoint_indices(grid, ncp)
     if kernel.family is KernelFamily.WHITE:
@@ -333,7 +346,7 @@ def _run_macro_rate(cfg, out_dir, base_dir):
         body = MacroBody.from_csv(path)
     else:
         body = MacroBody.lattice(
-            int(_need(body_block, "lattice_sites", "macro.body")),
+            _as_int(_need(body_block, "lattice_sites", "macro.body"), "macro.body.lattice_sites"),
             float(_need(body_block, "spacing_cm", "macro.body")),
         )
     displacements = [float(v) for v in _need(block, "displacements", "macro")]

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateEnsemble, StepSizeRejected
 from .hilbert import CommutingSet, DensityMatrix, validate_hamiltonian
 from .kernels import CorrelationKernel, kernel_cumulative, kernel_double_integral
-from .noise import TimeGrid, checkpoint_indices, fsum_ordered
+from .noise import TimeGrid, checkpoint_indices
 
 __all__ = [
     "DensityPath",
@@ -192,15 +192,15 @@ def observable_mean(
 # ensemble estimators
 
 
-def _scaled_value(mean_val: complex, log_scale: float) -> complex:
-    """exp(log_scale) * mean_val without overflowing through the product."""
-    if mean_val == 0.0:
-        return 0.0
-    mag = abs(mean_val)
-    out_log = log_scale + math.log(mag)
-    if out_log > 709.0:
+def _scaled_value(values: np.ndarray, log_scale: float) -> np.ndarray:
+    """exp(log_scale) * values, formed in log space so the product cannot overflow unseen."""
+    mag = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out_log = log_scale + np.log(mag)
+        phase = np.where(mag > 0.0, values / mag, 0.0)
+    if np.any(out_log > 709.0):
         raise DegenerateEnsemble("ensemble average overflowed; weights too degenerate")
-    return (mean_val / mag) * math.exp(out_log)
+    return phase * np.exp(out_log)
 
 
 def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> DensityPath:
@@ -211,6 +211,9 @@ def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> Densit
     self-normalized weights.  Both estimate the same statistical operator.
     Standard errors come from batch means over trajectory-index batches
     (weights correlate with states, so per-sample variances would lie).
+    Each checkpoint is reduced over the gathered array in a fixed
+    trajectory-index order by numpy, so the result is byte-identical at any
+    worker count.
     """
     if mode not in ("raw", "cooked"):
         raise ConfigError(f"mode must be 'raw' or 'cooked', got {mode!r}")
@@ -219,6 +222,7 @@ def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> Densit
         raise ConfigError("need at least 2 trajectories for an ensemble estimate")
     nb = max(2, min(batches, n))
     edges = np.linspace(0, n, nb + 1).astype(int)
+    starts = edges[:-1]
     rhos = np.empty((ncp, d, d), dtype=np.complex128)
     err_re = np.empty((ncp, d, d))
     err_im = np.empty((ncp, d, d))
@@ -228,34 +232,21 @@ def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> Densit
         if math.exp(min(peak, 709.0)) == 0.0:
             raise DegenerateEnsemble("all cooking weights underflow at this checkpoint")
         s = np.exp(lw - peak)
-        proj = result.amps[:, c, :, None] * result.amps[:, c, None, :].conj()
-        weighted = s[:, None, None] * proj
+        psi = result.amps[:, c]
+        weighted = s[:, None, None] * (psi[:, :, None] * psi[:, None, :].conj())
+        bsums = np.add.reduceat(weighted, starts, axis=0)
+        total = weighted.sum(axis=0)
         if mode == "cooked":
-            denom = fsum_ordered(s)
-            wsums = np.array([fsum_ordered(s[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
-            if denom == 0.0 or np.any(wsums == 0.0):
+            wsums = np.add.reduceat(s, starts)
+            if np.any(wsums == 0.0):
                 raise DegenerateEnsemble("a weight batch summed to zero")
+            rhos[c] = total / s.sum()
+            bm = bsums / wsums[:, None, None]
         else:
-            scale = math.exp(min(peak, 709.0))
-        for a in range(d):
-            for b in range(d):
-                vr = weighted[:, a, b].real
-                vi = weighted[:, a, b].imag
-                bsums = np.array(
-                    [
-                        complex(fsum_ordered(vr[lo:hi]), fsum_ordered(vi[lo:hi]))
-                        for lo, hi in zip(edges[:-1], edges[1:])
-                    ]
-                )
-                if mode == "raw":
-                    mean = complex(fsum_ordered(vr) / n, fsum_ordered(vi) / n)
-                    rhos[c, a, b] = _scaled_value(mean, peak)
-                    bm = bsums / np.diff(edges) * scale
-                else:
-                    rhos[c, a, b] = complex(fsum_ordered(vr), fsum_ordered(vi)) / denom
-                    bm = bsums / wsums
-                err_re[c, a, b] = float(np.std(bm.real, ddof=1) / math.sqrt(nb))
-                err_im[c, a, b] = float(np.std(bm.imag, ddof=1) / math.sqrt(nb))
+            rhos[c] = _scaled_value(total / n, peak)
+            bm = bsums / np.diff(edges)[:, None, None]
+        sd = np.std([bm.real, bm.imag], axis=1, ddof=1) / math.sqrt(nb)
+        err_re[c], err_im[c] = sd if mode == "cooked" else _scaled_value(sd, peak)
     return DensityPath(result.times, rhos, err_re, err_im)
 
 

@@ -15,8 +15,10 @@ Trajectory k of a run with master seed S draws its standard normals from
 
 i.e. a counter-based stream keyed bit-exactly by (master_seed, trajectory
 index).  Paths therefore depend only on (S, k), never on worker count,
-chunking, or scheduling order, and ensemble statistics are reduced with
-compensated summation in trajectory-index order after a gather step.
+chunking, or scheduling order.  After a gather step, the ensemble estimators
+reduce the gathered array in a fixed trajectory-index order with numpy, so
+they are byte-identical at any worker count; the cooking statistics still use
+compensated summation (fsum_ordered) in that order.
 """
 
 from __future__ import annotations
@@ -230,5 +232,5 @@ def sample_white_increments(
 
 
 def fsum_ordered(values) -> float:
-    """Compensated (exact) sum in the given order; the ensemble reduction primitive."""
+    """Compensated (exact) sum in the given order; the cooking statistics' reduction primitive."""
     return math.fsum(np.asarray(values, dtype=float).ravel())

@@ -7,8 +7,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from collapsim.cli import main
+from collapsim.cli import _as_int, main
+from collapsim.errors import ConfigError
 from collapsim.kernels import (
     exponential_kernel,
     kernel_cumulative,
@@ -102,6 +105,71 @@ def test_unknown_keys_rejected(tmp_path):
     cfg = traj_config(extra={"plotting": True})
     code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_dump_paths_must_be_a_boolean(tmp_path, capsys):
+    for value in ("false", "true", 0, 1, None):
+        cfg = traj_config()
+        cfg["ensemble"]["dump_paths"] = value
+        out = tmp_path / "o"
+        code = main(["--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert code == 2
+        assert "ensemble.dump_paths" in capsys.readouterr().err
+        assert not (out / "paths.csv").exists()
+
+
+def test_integral_float_is_the_integer_it_spells(tmp_path):
+    outs = []
+    for name, n in (("int", 200), ("float", 2e2)):
+        outs.append(tmp_path / name)
+        cfg = traj_config(n=n)
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(outs[-1])]) == 0
+    for artifact in ("trajectories.csv", "statistics.csv"):
+        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+
+
+@given(_JSON_SCALARS)
+def test_as_int_accepts_exactly_the_integral_numbers(value):
+    integral = (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, float) and math.isfinite(value) and math.floor(value) == value
+    )
+    if integral:
+        got = _as_int(value, "key")
+        assert type(got) is int and got == value
+    else:
+        with pytest.raises(ConfigError, match="key must be an integer"):
+            _as_int(value, "key")
+
+
+_INTEGER_KEYS = [
+    ("system", "dimension"),
+    ("grid", "steps"),
+    ("ensemble", "trajectories"),
+    ("ensemble", "master_seed"),
+    ("ensemble", "workers"),
+    ("ensemble", "checkpoints"),
+]
+_NOT_INTEGERS = st.one_of(
+    st.booleans(),
+    st.floats().filter(lambda v: not v.is_integer()),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_INTEGER_KEYS), _NOT_INTEGERS)
+def test_integer_keys_reject_non_integers(tmp_path, capsys, where, value):
+    block, key = where
+    cfg = traj_config()
+    cfg[block][key] = value
+    code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{block}.{key} must be an integer" in capsys.readouterr().err
 
 
 def test_missing_config_and_bad_json(tmp_path):

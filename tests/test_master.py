@@ -1,6 +1,9 @@
 """Density-matrix integrators, analytic damping, ensemble estimators."""
 
+import dataclasses
 import math
+import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from collapsim import (
     simulate_ensemble,
     white_kernel,
 )
-from collapsim.errors import StepSizeRejected
+from collapsim.errors import DegenerateEnsemble, StepSizeRejected
 from collapsim.hilbert import pure_density
 from collapsim.master import _rk4_density, fit_exponential_rate
 
@@ -177,6 +180,106 @@ def test_ensemble_matches_master_every_entry(two_state, psi_born):
         diff = np.abs(est.rhos[j] - ref.rhos[j])
         se = np.hypot(est.stderr_re[j], est.stderr_im[j])
         assert np.all(diff <= 5.0 * se + 1e-8)
+
+
+def _fsum_density(res, mode, batches):
+    """Reference estimator: exact sums entry by entry, exact batch-mean deviations."""
+    n, ncp, d = res.amps.shape
+    edges = np.linspace(0, n, batches + 1).astype(int)
+    rhos = np.empty((ncp, d, d), dtype=complex)
+    se_re = np.empty((ncp, d, d))
+    se_im = np.empty((ncp, d, d))
+    for c in range(ncp):
+        w = [math.exp(v) for v in res.log_weights[:, c]]
+        psi = res.amps[:, c].tolist()
+        for a in range(d):
+            for b in range(d):
+                terms = [wi * p[a] * p[b].conjugate() for wi, p in zip(w, psi)]
+
+                def mean(lo, hi):
+                    norm = hi - lo if mode == "raw" else math.fsum(w[lo:hi])
+                    re = math.fsum(t.real for t in terms[lo:hi]) / norm
+                    im = math.fsum(t.imag for t in terms[lo:hi]) / norm
+                    return complex(re, im)
+
+                rhos[c, a, b] = mean(0, n)
+                bm = [mean(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+                se_re[c, a, b] = statistics.stdev(v.real for v in bm) / math.sqrt(batches)
+                se_im[c, a, b] = statistics.stdev(v.imag for v in bm) / math.sqrt(batches)
+    return rhos, se_re, se_im
+
+
+# Without H0 the (1, 1) and (0, 2) entries of three_state are the same on
+# every trajectory, so their stderr would be rounding noise.
+_H0_MIXING = np.array([[0.0, 0.4, 0.0], [0.4, 0.1, 0.3], [0.0, 0.3, -0.2]], dtype=complex)
+
+
+@pytest.mark.parametrize("mode", ["raw", "cooked"])
+def test_ensemble_matches_exact_sum_reference_unequal_batches(three_state, psi_three, mode):
+    # 1037 trajectories in 100 batches: batch sizes 10 and 11
+    grid = TimeGrid(0.0, 0.6, 60)
+    res = simulate_ensemble(
+        three_state, psi_three, grid, white_kernel(0.7), 1037, 17, h0=_H0_MIXING,
+        checkpoints=np.array([20, 60]),  # at t0 every batch mean is equal: stderr is pure rounding
+    )
+    est = ensemble_to_density(res, mode, batches=100)
+    rhos, se_re, se_im = _fsum_density(res, mode, 100)
+    np.testing.assert_allclose(est.rhos, rhos, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(est.stderr_re, se_re, rtol=1e-12, atol=0)
+    # a diagonal entry is real, so its imaginary stderr is rounding noise
+    off = ~np.eye(3, dtype=bool)
+    np.testing.assert_allclose(est.stderr_im[:, off], se_im[:, off], rtol=1e-12, atol=0)
+    assert np.all(est.stderr_im[:, ~off] <= 1e-15)
+
+
+def test_cooked_zero_weight_batch_is_degenerate(two_state, psi_born):
+    grid = TimeGrid(0.0, 1.0, 50)
+    res = simulate_ensemble(
+        two_state, psi_born, grid, white_kernel(0.5), 300, 3, checkpoints=np.array([0, 50])
+    )
+    res.log_weights[:3] -= 2000.0  # the first of 100 batches underflows to weight zero
+    ensemble_to_density(res, "raw")
+    with pytest.raises(DegenerateEnsemble, match="weight batch summed to zero"):
+        ensemble_to_density(res, "cooked")
+
+
+def test_ensemble_estimate_byte_identical_across_workers(two_state, psi_born):
+    grid = TimeGrid(0.0, 1.0, 100)
+    kernel = exponential_kernel(1.0, 0.3)
+    kw = dict(checkpoints=np.array([0, 50, 100]))
+    ests = [
+        ensemble_to_density(
+            simulate_ensemble(two_state, psi_born, grid, kernel, 1500, 5, workers=w, **kw), mode
+        )
+        for w in (1, 2)
+        for mode in ("raw", "cooked")
+    ]
+    for one, two in zip(ests[:2], ests[2:]):
+        for field in ("rhos", "stderr_re", "stderr_im"):
+            assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
+
+
+def test_raw_estimate_scale_free_in_log_weights(three_state, psi_three):
+    # a common offset of the log weights rescales rho and its stderr together,
+    # right up to the edge of the double range, without warnings or clipping
+    grid = TimeGrid(0.0, 1.0, 100)
+    res = simulate_ensemble(
+        three_state, psi_three, grid, white_kernel(0.5), 400, 9, h0=_H0_MIXING,
+        checkpoints=np.array([50, 100]),
+    )
+    base = ensemble_to_density(res, "raw")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shifted = ensemble_to_density(
+            dataclasses.replace(res, log_weights=res.log_weights + 700.0), "raw"
+        )
+    off = ~np.eye(3, dtype=bool)  # diagonal imaginary stderr is rounding noise
+    for field, entries in (("stderr_re", np.ones((3, 3), dtype=bool)), ("stderr_im", off)):
+        want = getattr(base, field)[:, entries] / np.abs(base.rhos[:, entries])
+        got = getattr(shifted, field)[:, entries] / np.abs(shifted.rhos[:, entries])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    with pytest.raises(DegenerateEnsemble, match="overflowed"):
+        ensemble_to_density(dataclasses.replace(res, log_weights=res.log_weights + 800.0), "raw")
 
 
 def test_decay_report_and_rate_fit(two_state, psi_born):
