@@ -1,10 +1,10 @@
 """Configuration-driven command line entry point.
 
-One config file = one experiment.  The config is schema-validated before any
-computation (unknown keys are rejected), a manifest is written before any
-result file so partial runs are detectable, and every artifact is a CSV with
-a fixed documented header.  Identical config + seed gives byte-identical
-CSVs regardless of worker count.
+One config file = one experiment.  Every block the task reads is checked
+against one schema (unknown keys are rejected) before anything is written, a
+manifest is written before any result file so partial runs are detectable,
+and every artifact is a CSV with a fixed documented header.  Identical
+config + seed gives byte-identical CSVs regardless of worker count.
 
 Exit status: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -31,7 +31,9 @@ from .kernels import (
     kernel_eval,
     kernel_from_config,
 )
-from .macrobody import MacroBody, MacroParams, com_offdiag_decay, macro_damping_rate
+from .macrobody import (
+    DEFAULT_ALPHA, DEFAULT_LAMBDA, MacroBody, MacroParams, com_offdiag_decay, macro_damping_rate,
+)
 from .master import evolve_colored_master, evolve_lindblad_csl
 from .noise import TimeGrid, checkpoint_indices, sample_paths, sample_white_increments, build_covariance
 from .dynamics import simulate_ensemble
@@ -40,29 +42,44 @@ from .reduction import UNDECIDED, born_frequencies, classify_outcomes
 
 TASKS = ("trajectories", "master", "fn-check", "macro-rate", "kernel-diag")
 
-_TOP_KEYS = {"task", "system", "kernel", "grid", "ensemble", "reduction", "functionals", "macro", "output"}
-_SYSTEM_KEYS = {"dimension", "eigenvalues", "hamiltonian", "initial_amplitudes"}
-_KERNEL_KEYS = {"family", "gamma", "tau", "table_path"}
-_GRID_KEYS = {"t0", "t1", "steps"}
-_ENSEMBLE_KEYS = {"trajectories", "master_seed", "workers", "checkpoints", "dump_paths"}
-_REDUCTION_KEYS = {"threshold", "min_decided"}
-_OUTPUT_KEYS = {"directory"}
-_MACRO_KEYS = {"alpha", "lambda", "beta", "t0", "body", "displacements", "times"}
-_BODY_KEYS = {"lattice_sites", "spacing_cm", "csv"}
+_REQUIRED = object()  # schema default of a key that must be given
+_BLOCK = ("object", {}, None)
 
-
-def _reject_unknown(block: dict, allowed: set, where: str):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _need(block: dict, key: str, where: str):
-    if key not in block:
-        raise ConfigError(f"missing required key '{key}' in {where}")
-    return block[key]
+# block -> key -> (JSON type, default or _REQUIRED, inclusive lower bound or None).
+# A one-element list [k] is a list of k, a tuple lists the allowed values, and
+# "complex" is a number or an [re, im] pair.  This table is the only place that
+# names a config key's type, default or bound.
+_SCHEMA = {
+    "config": {
+        "task": (TASKS, _REQUIRED, None),
+        **dict.fromkeys(("system", "kernel", "grid", "ensemble", "reduction", "macro", "output"), _BLOCK),
+        "functionals": ([FN_FUNCTIONALS], FN_FUNCTIONALS, None),
+    },
+    "system": {
+        "dimension": ("int", _REQUIRED, 1),
+        "eigenvalues": ([["float"]], _REQUIRED, None),
+        "initial_amplitudes": (["complex"], _REQUIRED, None),
+        "hamiltonian": ([["complex"]], None, None),
+    },
+    "kernel": {
+        "family": ("str", _REQUIRED, None), "gamma": ("float", _REQUIRED, None),
+        "tau": ("float", None, None), "table_path": ("str", None, None),
+    },
+    "grid": {"t0": ("float", _REQUIRED, None), "t1": ("float", _REQUIRED, None), "steps": ("int", _REQUIRED, 1)},
+    "ensemble": {
+        "trajectories": ("int", _REQUIRED, 1), "master_seed": ("int", _REQUIRED, 0),
+        "workers": ("int", 1, 1), "checkpoints": ("int", 50, 2), "dump_paths": ("bool", False, None),
+    },
+    "reduction": {"threshold": ("float", 0.99, None), "min_decided": ("float", 0.95, 0.0)},
+    "output": {"directory": ("str", None, None)},
+    "macro": {
+        "alpha": ("float", DEFAULT_ALPHA, None), "lambda": ("float", DEFAULT_LAMBDA, None),
+        "beta": ("float", None, None), "t0": ("float", 0.0, None), "body": ("object", _REQUIRED, None),
+        "displacements": (["float"], _REQUIRED, None), "times": (["float"], _REQUIRED, None),
+    },
+    "macro.body": {"lattice_sites": ("int", None, 1), "spacing_cm": ("float", None, None), "csv": ("str", None, None)},
+}
+_JSON_TYPES = {"bool": (bool, "true or false"), "str": (str, "a string"), "object": (dict, "an object")}
 
 
 def _as_int(value, where: str) -> int:
@@ -73,77 +90,99 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
-def _as_complex_entry(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v, 0.0)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigError(f"{where}: numbers or [re, im] pairs expected, got {v!r}")
+def _check(value, kind, where: str):
+    """``value`` as the schema type ``kind``, or a ConfigError naming ``where``.
+
+    Ints take integral floats, floats take ints and must be finite, and a bool
+    is only ever a bool.
+    """
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [_check(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{where} must be one of {kind}, got {value!r}")
+        return value
+    if kind == "int":
+        return _as_int(value, where)
+    if kind == "complex" and isinstance(value, list) and len(value) == 2:
+        return complex(_check(value[0], "float", where), _check(value[1], "float", where))
+    if kind in ("float", "complex"):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and abs(value) <= sys.float_info.max):
+            pair = "" if kind == "float" else " or an [re, im] pair"
+            raise ConfigError(f"{where} must be a finite number{pair}, got {value!r}")
+        return float(value)
+    pytype, name = _JSON_TYPES[kind]
+    if not isinstance(value, pytype):
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    return value
 
 
-def _parse_system(block: dict):
-    _reject_unknown(block, _SYSTEM_KEYS, "system")
-    d = _as_int(_need(block, "dimension", "system"), "system.dimension")
-    if d < 1:
-        raise ConfigError("system.dimension must be >= 1")
-    table = np.asarray(_need(block, "eigenvalues", "system"), dtype=float)
-    table = np.atleast_2d(table)
-    if table.shape[1] != d:
-        raise ConfigError(f"eigenvalue rows must have length {d}, got {table.shape}")
-    aset = CommutingSet(table)
-    amps = _need(block, "initial_amplitudes", "system")
+def _block(raw, name: str, required: bool = True) -> dict:
+    """Config block ``name`` checked against ``_SCHEMA[name]``.
+
+    Unknown and missing keys are rejected, every value is typed and bounded,
+    and absent keys take their defaults.  ``null`` counts as absent only for
+    keys whose default is None.  With ``required=False`` a missing required
+    key reads as None.
+    """
+    schema = _SCHEMA[name]
+    prefix = "" if name == "config" else name + "."
+    _check(raw, "object", name)
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {[prefix + k for k in unknown]}")
+    out = {}
+    for key, (kind, default, low) in schema.items():
+        where = prefix + key
+        if raw.get(key) is None and (key not in raw or default is None):
+            if default is _REQUIRED and required:
+                raise ConfigError(f"missing required key {where}")
+            out[key] = None if default is _REQUIRED else default
+            continue
+        out[key] = _check(raw[key], kind, where)
+        if low is not None and out[key] < low:
+            raise ConfigError(f"{where} must be >= {low}, got {out[key]!r}")
+    return out
+
+
+def _parse_system(raw):
+    system = _block(raw, "system")
+    d, rows, amps, h0 = (system[k] for k in ("dimension", "eigenvalues", "initial_amplitudes", "hamiltonian"))
+    if any(len(row) != d for row in rows):
+        raise ConfigError(f"system.eigenvalues rows must have length {d}")
+    aset = CommutingSet(rows)
     if len(amps) != d:
-        raise ConfigError(f"initial_amplitudes must have length {d}")
-    psi0 = np.array([_as_complex_entry(v, "initial_amplitudes") for v in amps])
+        raise ConfigError(f"system.initial_amplitudes must have length {d}")
+    psi0 = np.array(amps, dtype=complex)
     nrm = np.linalg.norm(psi0)
     if nrm == 0.0:
         raise ConfigError("initial state must be nonzero")
     psi0 = psi0 / nrm
-    h0 = None
-    if block.get("hamiltonian") is not None:
-        rows = block["hamiltonian"]
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise ConfigError(f"hamiltonian must be {d}x{d}")
-        h0 = np.array(
-            [[_as_complex_entry(v, "hamiltonian") for v in row] for row in rows]
-        )
+    if h0 is not None:
+        if len(h0) != d or any(len(row) != d for row in h0):
+            raise ConfigError(f"system.hamiltonian must be {d}x{d}")
+        h0 = np.array(h0, dtype=complex)
         if np.max(np.abs(h0 - h0.conj().T)) > 1.0e-12:
-            raise ConfigError("hamiltonian must be Hermitian")
+            raise ConfigError("system.hamiltonian must be Hermitian")
     return aset, psi0, h0
 
 
-def _parse_grid(block: dict) -> TimeGrid:
-    _reject_unknown(block, _GRID_KEYS, "grid")
-    return TimeGrid(
-        float(_need(block, "t0", "grid")),
-        float(_need(block, "t1", "grid")),
-        _as_int(_need(block, "steps", "grid"), "grid.steps"),
-    )
-
-
-def _parse_ensemble(block: dict, seed_override, workers_override):
-    _reject_unknown(block, _ENSEMBLE_KEYS, "ensemble")
-    n = _as_int(_need(block, "trajectories", "ensemble"), "ensemble.trajectories")
-    if n < 1:
-        raise ConfigError("ensemble.trajectories must be >= 1")
-    seed = seed_override if seed_override is not None else block.get("master_seed")
-    if seed is None:
-        raise ConfigError("ensemble.master_seed is required (or pass --seed)")
-    seed = _as_int(seed, "ensemble.master_seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
-    workers = workers_override
-    if workers is None:
-        workers = _as_int(block.get("workers", 1), "ensemble.workers")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    checkpoints = _as_int(block.get("checkpoints", 50), "ensemble.checkpoints")
-    if checkpoints < 2:
-        raise ConfigError("checkpoints must be >= 2")
-    dump_paths = block.get("dump_paths", False)
-    if not isinstance(dump_paths, bool):
-        raise ConfigError(f"ensemble.dump_paths must be true or false, got {dump_paths!r}")
-    return n, seed, workers, checkpoints, dump_paths
+def _parse_macro(raw, base_dir):
+    macro = _block(raw, "macro")
+    params = MacroParams(alpha=macro["alpha"], lam=macro["lambda"], beta=macro["beta"], t0=macro["t0"])
+    body = _block(macro["body"], "macro.body")
+    if body["csv"] is not None:
+        body = MacroBody.from_csv(os.path.join(base_dir, body["csv"]))
+    elif body["lattice_sites"] is None or body["spacing_cm"] is None:
+        raise ConfigError("macro.body needs csv, or lattice_sites and spacing_cm")
+    else:
+        body = MacroBody.lattice(body["lattice_sites"], body["spacing_cm"])
+    if not macro["displacements"] or not macro["times"]:
+        raise ConfigError("macro.displacements and macro.times must be non-empty")
+    return params, body, macro["displacements"], macro["times"]
 
 
 def _fmt(x) -> str:
@@ -170,8 +209,7 @@ def _write_manifest(out_dir, payload):
 # task runners (each returns the list of artifact filenames it wrote)
 
 
-def _run_kernel_diag(cfg, out_dir, kernel, base_dir):
-    grid = _parse_grid(_need(cfg, "grid", "config"))
+def _run_kernel_diag(out_dir, kernel, grid):
     rows = []
     for t in grid.nodes():
         lag = float(t - grid.t0)
@@ -218,20 +256,12 @@ def _dump_paths(out_dir, grid, kernel, m, n, seed):
     return ["paths.csv"]
 
 
-def _run_trajectories(cfg, out_dir, kernel, seed_override, workers_override):
-    aset, psi0, h0 = _parse_system(_need(cfg, "system", "config"))
-    grid = _parse_grid(_need(cfg, "grid", "config"))
-    n, seed, workers, ncp, dump_paths = _parse_ensemble(
-        _need(cfg, "ensemble", "config"), seed_override, workers_override
-    )
-    red = cfg.get("reduction", {})
-    _reject_unknown(red, _REDUCTION_KEYS, "reduction")
-    threshold = float(red.get("threshold", 0.99))
-    min_decided = float(red.get("min_decided", 0.95))
-
+def _run_trajectories(out_dir, system, grid, kernel, ens, red):
+    aset, psi0, h0 = system
+    n, seed, threshold = ens["trajectories"], ens["master_seed"], red["threshold"]
     result = simulate_ensemble(
-        aset, psi0, grid, kernel, n, seed,
-        h0=h0, method="auto", checkpoints=checkpoint_indices(grid, ncp), workers=workers,
+        aset, psi0, grid, kernel, n, seed, h0=h0, method="auto",
+        checkpoints=checkpoint_indices(grid, ens["checkpoints"]), workers=ens["workers"],
     )
     groups = aset.outcome_groups()
     labels = {g: grp.label for g, grp in enumerate(groups)}
@@ -262,7 +292,7 @@ def _run_trajectories(cfg, out_dir, kernel, seed_override, workers_override):
     _write_csv(os.path.join(out_dir, "trajectories.csv"), header, rows)
     artifacts = ["trajectories.csv"]
 
-    report = born_frequencies(result, aset, psi0, threshold, min_decided=min_decided)
+    report = born_frequencies(result, aset, psi0, threshold, min_decided=red["min_decided"])
     stat_rows = [
         (lbl, report.born[g], report.frequency[g], report.stderr[g], report.n_eff, report.undecided_fraction)
         for g, lbl in enumerate(report.labels)
@@ -273,25 +303,18 @@ def _run_trajectories(cfg, out_dir, kernel, seed_override, workers_override):
         stat_rows,
     )
     artifacts.append("statistics.csv")
-    if dump_paths:
+    if ens["dump_paths"]:
         artifacts += _dump_paths(out_dir, grid, kernel, aset.num_ops, n, seed)
     return artifacts
 
 
-def _run_master(cfg, out_dir, kernel):
-    aset, psi0, h0 = _parse_system(_need(cfg, "system", "config"))
-    grid = _parse_grid(_need(cfg, "grid", "config"))
-    ncp = 50
-    if "ensemble" in cfg:
-        _reject_unknown(cfg["ensemble"], _ENSEMBLE_KEYS, "ensemble")
-        ncp = _as_int(cfg["ensemble"].get("checkpoints", 50), "ensemble.checkpoints")
+def _run_master(out_dir, system, grid, kernel, ncp):
+    aset, psi0, h0 = system
     rho0 = DensityMatrix(pure_density(psi0))
     cp = checkpoint_indices(grid, ncp)
     if kernel.family is KernelFamily.WHITE:
         path = evolve_lindblad_csl(h0, aset, rho0, grid, kernel.gamma, checkpoints=cp)
     else:
-        if h0 is not None and np.max(np.abs(h0)) > 0.0:
-            raise ConfigError("the colored master equation is defined with H0 absent")
         path = evolve_colored_master(aset, rho0, grid, kernel, checkpoints=cp)
     rows = []
     for j, t in enumerate(path.times):
@@ -308,17 +331,10 @@ def _run_master(cfg, out_dir, kernel):
     return ["density.csv"]
 
 
-def _run_fn_check(cfg, out_dir, kernel, seed_override, workers_override):
-    grid = _parse_grid(_need(cfg, "grid", "config"))
-    n, seed, workers, _, _ = _parse_ensemble(
-        _need(cfg, "ensemble", "config"), seed_override, workers_override
-    )
-    functionals = cfg.get("functionals", list(FN_FUNCTIONALS))
-    if not isinstance(functionals, list) or not functionals:
-        raise ConfigError("functionals must be a non-empty list")
+def _run_fn_check(out_dir, kernel, grid, ens, functionals):
     rows = []
     for fn in functionals:
-        rep = fn_validate(kernel, str(fn), grid, n, seed)
+        rep = fn_validate(kernel, fn, grid, ens["trajectories"], ens["master_seed"])
         rows.append((rep.kernel_family, rep.functional, rep.lhs, rep.rhs, rep.diff_stderr, rep.sigmas))
     _write_csv(
         os.path.join(out_dir, "fncheck.csv"),
@@ -328,31 +344,7 @@ def _run_fn_check(cfg, out_dir, kernel, seed_override, workers_override):
     return ["fncheck.csv"]
 
 
-def _run_macro_rate(cfg, out_dir, base_dir):
-    block = _need(cfg, "macro", "config")
-    _reject_unknown(block, _MACRO_KEYS, "macro")
-    params = MacroParams(
-        alpha=float(block.get("alpha", MacroParams().alpha)),
-        lam=float(block.get("lambda", MacroParams().lam)),
-        beta=float(block["beta"]) if block.get("beta") is not None else None,
-        t0=float(block.get("t0", 0.0)),
-    )
-    body_block = _need(block, "body", "macro")
-    _reject_unknown(body_block, _BODY_KEYS, "macro.body")
-    if "csv" in body_block:
-        path = body_block["csv"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        body = MacroBody.from_csv(path)
-    else:
-        body = MacroBody.lattice(
-            _as_int(_need(body_block, "lattice_sites", "macro.body"), "macro.body.lattice_sites"),
-            float(_need(body_block, "spacing_cm", "macro.body")),
-        )
-    displacements = [float(v) for v in _need(block, "displacements", "macro")]
-    times = [float(v) for v in _need(block, "times", "macro")]
-    if not displacements or not times:
-        raise ConfigError("macro.displacements and macro.times must be non-empty")
+def _run_macro_rate(out_dir, params, body, displacements, times):
     origin = np.zeros(3)
     rows = []
     for dq in displacements:
@@ -371,14 +363,37 @@ def _run_macro_rate(cfg, out_dir, base_dir):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_out_dir(args_out, cfg, task) -> str:
-    if args_out:
-        return args_out
-    root = os.environ.get("COLLAPSIM_OUT", os.path.join(os.getcwd(), "collapsim_out"))
-    directory = cfg.get("output", {}).get("directory")
-    if directory:
-        return directory if os.path.isabs(directory) else os.path.join(root, directory)
-    return os.path.join(root, task)
+def _plan(cfg, base_dir, seed=None, workers=None):
+    """Validate every block the task reads; nothing is computed or written.
+
+    Returns the top-level block, the ensemble block (parsed where the task
+    reads it, with the ``--seed``/``--workers`` overrides applied), the task
+    runner and its arguments.
+    """
+    top = _block(cfg, "config")
+    task = top["task"]
+    overrides = {k: v for k, v in (("master_seed", seed), ("workers", workers)) if v is not None}
+    ens = {**top["ensemble"], **overrides}
+    if task in ("trajectories", "master", "fn-check"):
+        ens = _block(ens, "ensemble", required=task != "master")
+        if ens["master_seed"] is not None and ens["master_seed"] >= 2**64:
+            raise ConfigError("ensemble.master_seed must fit in an unsigned 64-bit integer")
+    if task == "macro-rate":
+        return top, ens, _run_macro_rate, _parse_macro(top["macro"], base_dir)
+    kernel = kernel_from_config(_block(top["kernel"], "kernel"), base_dir=base_dir)
+    grid = TimeGrid(**_block(top["grid"], "grid"))
+    if task == "kernel-diag":
+        return top, ens, _run_kernel_diag, (kernel, grid)
+    if task == "fn-check":
+        if not top["functionals"]:
+            raise ConfigError("functionals must be a non-empty list")
+        return top, ens, _run_fn_check, (kernel, grid, ens, top["functionals"])
+    system = _parse_system(top["system"])
+    if task == "master":
+        if kernel.family is not KernelFamily.WHITE and system[2] is not None and np.any(system[2]):
+            raise ConfigError("the colored master equation is defined with H0 absent")
+        return top, ens, _run_master, (system, grid, kernel, ens["checkpoints"])
+    return top, ens, _run_trajectories, (system, grid, kernel, ens, _block(top["reduction"], "reduction"))
 
 
 def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
@@ -387,30 +402,20 @@ def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _reject_unknown(cfg, _TOP_KEYS, "config")
-    task = _need(cfg, "task", "config")
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}; pick from {TASKS}")
-    if "output" in cfg:
-        _reject_unknown(cfg["output"], _OUTPUT_KEYS, "output")
-
-    base_dir = os.path.dirname(os.path.abspath(config_path))
-    kernel = None
-    if task in ("trajectories", "master", "fn-check", "kernel-diag"):
-        kernel_block = _need(cfg, "kernel", "config")
-        _reject_unknown(kernel_block, _KERNEL_KEYS, "kernel")
-        kernel = kernel_from_config(kernel_block, base_dir=base_dir)
-
-    out = _resolve_out_dir(out_dir, cfg, task)
-    os.makedirs(out, exist_ok=True)
+    top, ens, runner, args = _plan(cfg, os.path.dirname(os.path.abspath(config_path)), seed, workers)
+    directory = _block(top["output"], "output")["directory"]
+    if not out_dir:
+        root = os.environ.get("COLLAPSIM_OUT", os.path.join(os.getcwd(), "collapsim_out"))
+        out_dir = os.path.join(root, directory or top["task"])
+    os.makedirs(out_dir, exist_ok=True)
 
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     manifest = {
-        "task": task,
+        "task": top["task"],
         "status": "started",
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
-        "master_seed": seed if seed is not None else cfg.get("ensemble", {}).get("master_seed"),
-        "workers": workers if workers is not None else cfg.get("ensemble", {}).get("workers", 1),
+        "master_seed": ens.get("master_seed"),
+        "workers": ens.get("workers", 1),
         "versions": {
             "collapsim": __version__,
             "numpy": np.__version__,
@@ -418,22 +423,10 @@ def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
         },
         "artifacts": [],
     }
-    _write_manifest(out, manifest)
-
-    if task == "kernel-diag":
-        artifacts = _run_kernel_diag(cfg, out, kernel, base_dir)
-    elif task == "trajectories":
-        artifacts = _run_trajectories(cfg, out, kernel, seed, workers)
-    elif task == "master":
-        artifacts = _run_master(cfg, out, kernel)
-    elif task == "fn-check":
-        artifacts = _run_fn_check(cfg, out, kernel, seed, workers)
-    else:
-        artifacts = _run_macro_rate(cfg, out, base_dir)
-
+    _write_manifest(out_dir, manifest)
+    manifest["artifacts"] = runner(out_dir, *args)
     manifest["status"] = "complete"
-    manifest["artifacts"] = artifacts
-    _write_manifest(out, manifest)
+    _write_manifest(out_dir, manifest)
     return 0
 
 

@@ -71,10 +71,12 @@ def cook_weights(result, checkpoint: int = -1, n_eff_floor: float = N_EFF_FLOOR)
     scaled = np.exp(lw - peak)
     mean_scaled = fsum_ordered(scaled) / n
     weights = scaled / mean_scaled
-    log_mean = peak + math.log(mean_scaled)
-    mean_raw = math.exp(log_mean) if log_mean < 709.0 else math.inf
+    try:
+        mean_raw = math.exp(peak + math.log(mean_scaled))
+    except OverflowError:
+        mean_raw = math.inf
     var = fsum_ordered((scaled - mean_scaled) ** 2) / max(n - 1, 1)
-    stderr = math.sqrt(var / n) * math.exp(min(peak, 709.0))
+    stderr = mean_raw * math.sqrt(var / n) / mean_scaled
     if n_eff < n_eff_floor:
         raise DegenerateEnsemble(
             f"effective sample size {n_eff:.2f} below floor {n_eff_floor}"

@@ -1,16 +1,18 @@
 """End-to-end CLI behavior: validation, artifacts, determinism, exit codes."""
 
+import copy
 import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from collapsim.cli import _as_int, main
+from collapsim.cli import _SCHEMA, _as_int, _plan, _run_trajectories, main
 from collapsim.errors import ConfigError
 from collapsim.kernels import (
     exponential_kernel,
@@ -170,6 +172,147 @@ def test_integer_keys_reject_non_integers(tmp_path, capsys, where, value):
     code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"{block}.{key} must be an integer" in capsys.readouterr().err
+
+
+def macro_config():
+    return {
+        "task": "macro-rate",
+        "macro": {
+            "body": {"lattice_sites": 2, "spacing_cm": 1.2e-4},
+            "displacements": [1.0e-4],
+            "times": [1.0e-6],
+        },
+    }
+
+
+def with_value(cfg, where, value):
+    """A copy of ``cfg`` with the dotted key ``where`` set to ``value``."""
+    cfg = copy.deepcopy(cfg)
+    *blocks, key = where.split(".")
+    block = cfg
+    for name in blocks:
+        block = block.setdefault(name, {})
+    block[key] = value
+    return cfg
+
+
+def run_bad(tmp_path, cfg):
+    """Run ``cfg``; return the exit code and whether the --out directory exists."""
+    out = tmp_path / "o"
+    code = main(["--config", write_config(tmp_path, cfg), "--out", str(out)])
+    return code, out.exists()
+
+
+@pytest.mark.parametrize(
+    "base, where, value",
+    [
+        (traj_config, "system.dimension", 3),
+        (traj_config, "grid.steps", 0),
+        (traj_config, "ensemble.trajectories", 0),
+        (traj_config, "reduction.min_decided", -0.5),
+        (macro_config, "macro.lambda", -1.0),
+    ],
+)
+def test_config_error_writes_nothing(tmp_path, base, where, value):
+    code, wrote = run_bad(tmp_path, with_value(base(), where, value))
+    assert code == 2
+    assert not wrote
+
+
+def test_workers_override_is_bounded(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["--config", write_config(tmp_path, traj_config()), "--out", str(out), "--workers", "0"])
+    assert code == 2
+    assert "ensemble.workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_FLOAT_KEYS = [
+    (traj_config, "grid.t0"),
+    (traj_config, "grid.t1"),
+    (traj_config, "kernel.gamma"),
+    (traj_config, "kernel.tau"),
+    (traj_config, "reduction.threshold"),
+    (traj_config, "reduction.min_decided"),
+    (macro_config, "macro.alpha"),
+    (macro_config, "macro.lambda"),
+    (macro_config, "macro.beta"),
+    (macro_config, "macro.t0"),
+    (macro_config, "macro.body.spacing_cm"),
+]
+_NOT_FLOATS = st.one_of(
+    st.booleans(),
+    st.text(max_size=8),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_FLOAT_KEYS), _NOT_FLOATS)
+def test_float_keys_reject_non_numbers(tmp_path, capsys, case, value):
+    base, where = case
+    code, wrote = run_bad(tmp_path, with_value(base(), where, value))
+    assert code == 2
+    assert f"{where} must be a finite number" in capsys.readouterr().err
+    assert not wrote
+
+
+@pytest.mark.parametrize(
+    "base, where, value",
+    [
+        (traj_config, "kernel.tau", "abc"),
+        (traj_config, "kernel.gamma", [1]),
+        (traj_config, "reduction.threshold", "x"),
+        (traj_config, "system.initial_amplitudes", 5),
+        (traj_config, "system.initial_amplitudes", [[1, "a"], 1]),
+        (traj_config, "system.initial_amplitudes", [True, 1]),
+        (traj_config, "system.eigenvalues", "ab"),
+        (traj_config, "system.hamiltonian", 3),
+        (traj_config, "ensemble", 3),
+        (traj_config, "reduction.min_decided", -1),
+        (traj_config, "functionals", ["constant", 4]),
+        (macro_config, "macro.times", 5),
+        (macro_config, "macro.times", ["a"]),
+        (macro_config, "macro.body.lattice_sites", -3),
+        (macro_config, "macro.body", None),
+    ],
+)
+def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, base, where, value):
+    code, wrote = run_bad(tmp_path, with_value(base(), where, value))
+    assert code == 2
+    assert where in capsys.readouterr().err
+    assert not wrote
+
+
+_WRONG_TYPE = {"int": True, "float": "1.0", "bool": 0, "str": 1.5, "object": []}
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [(block, key) for block, keys in _SCHEMA.items() for key in keys],
+)
+def test_every_schema_key_rejects_a_wrong_type(tmp_path, capsys, block, key):
+    kind = _SCHEMA[block][key][0]
+    value = {"a": 1} if isinstance(kind, (list, tuple)) else _WRONG_TYPE[kind]
+    where = key if block == "config" else f"{block}.{key}"
+    base = macro_config if block.startswith("macro") else traj_config
+    code, wrote = run_bad(tmp_path, with_value(base(), where, value))
+    assert code == 2
+    assert f"{where} must be" in capsys.readouterr().err
+    assert not wrote
+
+
+def test_readme_example_and_keys_match_schema():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    _, ens, runner, _ = _plan(json.loads(example), base_dir=".")
+    assert runner is _run_trajectories and ens["trajectories"] == 10000
+    missing = [
+        f"{block}.{key}" for block, keys in _SCHEMA.items() for key in keys if f"`{key}`" not in readme
+    ]
+    assert not missing
 
 
 def test_missing_config_and_bad_json(tmp_path):

@@ -1,5 +1,6 @@
 """Cooking weights, outcome classification, Born statistics, x-distribution."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +46,22 @@ def test_mean_raw_weight_is_one(two_state, psi_born):
     cw = cook_weights(res)
     assert abs(cw.mean_raw - 1.0) <= 5.0 * cw.mean_raw_stderr
     assert cw.weights.mean() == pytest.approx(1.0, rel=1e-12)  # self-normalized
+
+
+def test_mean_raw_stderr_scale_free_in_log_weights(two_state, psi_born):
+    # a common offset of the log weights rescales mean_raw and its stderr
+    # together for as long as mean_raw itself is a finite double
+    # (the peak log weight is 8.2 here, so +703 takes it past 709)
+    grid = TimeGrid(0.0, 2.0, 100)
+    res = simulate_ensemble(
+        two_state, psi_born, grid, white_kernel(1.0), 400, 9, method="raw_linear"
+    )
+    base = cook_weights(res)
+    shifted = cook_weights(dataclasses.replace(res, log_weights=res.log_weights + 703.0))
+    assert math.isfinite(shifted.mean_raw)
+    assert shifted.mean_raw_stderr / shifted.mean_raw == pytest.approx(
+        base.mean_raw_stderr / base.mean_raw, rel=1e-12
+    )
 
 
 def test_neff_decreases_with_gamma_f(two_state, psi_born):
