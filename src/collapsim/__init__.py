@@ -21,7 +21,7 @@ from .kernels import (  # noqa: F401
     white_kernel,
 )
 from .noise import (  # noqa: F401
-    NoiseRealization,
+    NoiseBatch,
     TimeGrid,
     build_covariance,
     child_generator,
@@ -36,7 +36,6 @@ from .hilbert import (  # noqa: F401
 )
 from .dynamics import (  # noqa: F401
     EnsembleResult,
-    TrajectoryRecord,
     evolve_colored_commuting,
     evolve_csl_white,
     functional_derivative_probe,
@@ -47,7 +46,6 @@ from .master import (  # noqa: F401
     ensemble_to_density,
     evolve_colored_master,
     evolve_lindblad_csl,
-    observable_mean,
     offdiag_analytic,
 )
 from .reduction import (  # noqa: F401

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -237,21 +238,20 @@ def _dump_paths(out_dir, grid, kernel, m, n, seed):
         file=sys.stderr,
     )
     if kernel.family is KernelFamily.WHITE:
-        paths = sample_white_increments(grid, kernel.gamma, m, n, seed)
+        batch = sample_white_increments(grid, kernel.gamma, m, n, seed)
     else:
-        paths = sample_paths(build_covariance(grid, kernel), m, n, seed)
+        batch = sample_paths(build_covariance(grid, kernel), m, n, seed)
     header = (
         ["trajectory", "k", "t_k"]
         + [f"w_{i + 1}" for i in range(m)]
         + [f"x_{i + 1}" for i in range(m)]
     )
-    nodes = grid.nodes()
-    rows = []
-    for p in paths:
-        for k in range(p.w.shape[1]):
-            rows.append(
-                (p.index, k, float(nodes[k]), *p.w[:, k].tolist(), *p.x[:, k].tolist())
-            )
+    count = batch.w.shape[2]  # one row per node, or per step for white noise
+    w = batch.w.transpose(0, 2, 1).reshape(-1, m)
+    x = batch.x[:, :, :count].transpose(0, 2, 1).reshape(-1, m)
+    values = np.column_stack([np.tile(grid.nodes()[:count], n), w, x])
+    keys = itertools.product(range(batch.index, batch.index + n), range(count))
+    rows = ((i, k, *v) for (i, k), v in zip(keys, map(np.ndarray.tolist, values)))
     _write_csv(os.path.join(out_dir, "paths.csv"), header, rows)
     return ["paths.csv"]
 
@@ -378,6 +378,8 @@ def _plan(cfg, base_dir, seed=None, workers=None):
         ens = _block(ens, "ensemble", required=task != "master")
         if ens["master_seed"] is not None and ens["master_seed"] >= 2**64:
             raise ConfigError("ensemble.master_seed must fit in an unsigned 64-bit integer")
+        if task == "fn-check" and ens["trajectories"] < 2:
+            raise ConfigError("fn-check needs ensemble.trajectories >= 2")
     if task == "macro-rate":
         return top, ens, _run_macro_rate, _parse_macro(top["macro"], base_dir)
     kernel = kernel_from_config(_block(top["kernel"], "kernel"), base_dir=base_dir)
@@ -393,7 +395,10 @@ def _plan(cfg, base_dir, seed=None, workers=None):
         if kernel.family is not KernelFamily.WHITE and system[2] is not None and np.any(system[2]):
             raise ConfigError("the colored master equation is defined with H0 absent")
         return top, ens, _run_master, (system, grid, kernel, ens["checkpoints"])
-    return top, ens, _run_trajectories, (system, grid, kernel, ens, _block(top["reduction"], "reduction"))
+    red = _block(top["reduction"], "reduction")
+    if not 0.5 < red["threshold"] <= 1.0:
+        raise ConfigError(f"reduction.threshold must lie in (0.5, 1], got {red['threshold']!r}")
+    return top, ens, _run_trajectories, (system, grid, kernel, ens, red)
 
 
 def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:

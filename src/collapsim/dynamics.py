@@ -19,9 +19,10 @@ numerics; ``simulate_ensemble`` selects one through its ``method``:
   compensating term.
 
 Every solver decision (psi0 preparation, default checkpoints, H0 validation,
-the commutation check) is made once in ``_solver``.  A single trajectory
-(``evolve_csl_white``, ``evolve_colored_commuting``) is a batch of one through
-the same dispatch.
+the commutation check) is made once in ``_solver``.  Noise comes in as a
+``NoiseBatch`` and results go out as an ``EnsembleResult``, one row per
+trajectory: ``evolve_csl_white`` and ``evolve_colored_commuting`` take a
+batch of one and return a one-row result from the same solver chunk.
 
 The general non-commuting colored equation has no closed functional
 derivative and is deliberately not time-stepped.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .errors import ConfigError, NonCommuting, ZeroNorm
 from .hilbert import CommutingSet, commutation_check, validate_hamiltonian
 from .kernels import CorrelationKernel, KernelFamily, kernel_double_integral
 from .noise import (
-    NoiseRealization,
+    NoiseBatch,
     TimeGrid,
     checkpoint_indices,
     left_cumulative,
@@ -54,7 +55,6 @@ from .noise import (
 )
 
 __all__ = [
-    "TrajectoryRecord",
     "EnsembleResult",
     "ProbeResult",
     "evolve_csl_white",
@@ -70,15 +70,29 @@ METHODS = ("trotter_white", "exact_commuting", "raw_linear")
 
 
 @dataclass
-class TrajectoryRecord:
-    """Physical state, log cooking weight, and integrated noise at checkpoints."""
+class EnsembleResult:
+    """Gathered trajectories in trajectory-index order (packed arrays).
 
-    times: np.ndarray  # (ncp,)
-    states: np.ndarray  # (ncp, d), unit rows
-    log_weights: np.ndarray  # (ncp,)
-    x: np.ndarray | None  # (m, ncp) integrated noise at the checkpoints
+    Row r is trajectory ``index + r``; a single trajectory is a one-row result.
+    """
+
+    grid: TimeGrid
+    checkpoint_idx: np.ndarray
+    times: np.ndarray
+    amps: np.ndarray  # (n, ncp, d)
+    log_weights: np.ndarray  # (n, ncp)
+    x: np.ndarray  # (n, m, ncp)
     master_seed: int
-    index: int
+    method: str
+    index: int  # trajectory index of row 0
+
+    @property
+    def n(self) -> int:
+        return self.amps.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.amps.shape[2]
 
 
 def _unitary(h0: np.ndarray | None, dt: float) -> np.ndarray | None:
@@ -205,8 +219,8 @@ def _checkpoint_unitaries(h0, times, t0):
 def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
     """Resolve a solver once: returns (method, psi0, cp_idx, chunk).
 
-    ``chunk(kind, w, x_cp)`` maps stacked realizations -- w (nc, m, steps or
-    nodes) of the given kind and x_cp (nc, m, ncp) -- to (amps, log weights).
+    ``chunk(kind, w, x_cp)`` maps a noise batch -- w (nc, m, steps or nodes)
+    of the given kind and x_cp (nc, m, ncp) -- to (amps, log weights).
     ``kernel`` is needed for "auto" and "exact_commuting"; when it is None
     "trotter_white" trusts the caller that the noise is white.
     """
@@ -247,11 +261,14 @@ def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
 
 
 def _single(method, aset, psi0, grid, h0, checkpoints, gamma, kernel, realization):
-    _, _, cp_idx, chunk = _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel)
-    x_cp = realization.x[:, cp_idx]
-    amps, logw = chunk(realization.kind, realization.w[None, :, :], x_cp[None, :, :])
-    return TrajectoryRecord(
-        grid.nodes()[cp_idx], amps[0], logw[0], x_cp, realization.master_seed, realization.index
+    if len(realization) != 1:
+        raise ConfigError(f"a single trajectory needs a batch of one, got {len(realization)} rows")
+    method, _, cp_idx, chunk = _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel)
+    x_cp = realization.x[:, :, cp_idx]
+    amps, logw = chunk(realization.kind, realization.w, x_cp)
+    return EnsembleResult(
+        grid, cp_idx, grid.nodes()[cp_idx], amps, logw, x_cp,
+        realization.master_seed, method, realization.index,
     )
 
 
@@ -265,9 +282,9 @@ def evolve_csl_white(
     psi0,
     grid: TimeGrid,
     gamma: float,
-    realization: NoiseRealization,
+    realization: NoiseBatch,
     checkpoints=None,
-) -> TrajectoryRecord:
+) -> EnsembleResult:
     """Stratonovich Trotter propagation of one white-noise trajectory."""
     if realization.kind != "increments":
         raise ConfigError("evolve_csl_white needs a white (increment-kind) realization")
@@ -279,10 +296,10 @@ def evolve_colored_commuting(
     psi0,
     grid: TimeGrid,
     kernel: CorrelationKernel,
-    realization: NoiseRealization,
+    realization: NoiseBatch,
     h0=None,
     checkpoints=None,
-) -> TrajectoryRecord:
+) -> EnsembleResult:
     """Exact per-amplitude propagation for the commuting case (any kernel)."""
     return _single(
         "exact_commuting", aset, psi0, grid, h0, checkpoints, kernel.gamma, kernel, realization
@@ -304,9 +321,9 @@ class ProbeResult:
 
 
 def bump_realization(
-    realization: NoiseRealization, grid: TimeGrid, s_index: int, process: int, eps: float
-) -> NoiseRealization:
-    """Add a unit-area hat bump of area eps centered at node s_index.
+    realization: NoiseBatch, grid: TimeGrid, s_index: int, process: int, eps: float
+) -> NoiseBatch:
+    """Add a unit-area hat bump of area eps centered at node s_index, in every row.
 
     Node-kind paths get the single-node hat (peak eps/dt); increment-kind
     paths get the per-step average of the same hat, i.e. eps/(2 dt) on the
@@ -315,19 +332,19 @@ def bump_realization(
     """
     w = realization.w.copy()
     if realization.kind == "nodes":
-        w[process, s_index] += eps / grid.dt
+        w[:, process, s_index] += eps / grid.dt
         x = trapezoid_cumulative(w, grid.dt)
     else:
         if s_index >= 1:
-            w[process, s_index - 1] += 0.5 * eps / grid.dt
+            w[:, process, s_index - 1] += 0.5 * eps / grid.dt
         if s_index <= grid.steps - 1:
-            w[process, s_index] += 0.5 * eps / grid.dt
+            w[:, process, s_index] += 0.5 * eps / grid.dt
         x = left_cumulative(w, grid.dt)
-    return NoiseRealization(realization.kind, w, x, realization.master_seed, realization.index)
+    return replace(realization, w=w, x=x)
 
 
-def _raw_vector(record: TrajectoryRecord, cp: int) -> np.ndarray:
-    return record.states[cp] * math.exp(0.5 * record.log_weights[cp])
+def _raw_vector(record: EnsembleResult, cp: int) -> np.ndarray:
+    return record.amps[0, cp] * math.exp(0.5 * record.log_weights[0, cp])
 
 
 def functional_derivative_probe(
@@ -335,7 +352,7 @@ def functional_derivative_probe(
     psi0,
     grid: TimeGrid,
     kernel: CorrelationKernel,
-    realization: NoiseRealization,
+    realization: NoiseBatch,
     s_index: int,
     process: int,
     eps: float,
@@ -380,28 +397,6 @@ def functional_derivative_probe(
 # ensembles
 
 
-@dataclass
-class EnsembleResult:
-    """Gathered trajectories in trajectory-index order (packed arrays)."""
-
-    grid: TimeGrid
-    checkpoint_idx: np.ndarray
-    times: np.ndarray
-    amps: np.ndarray  # (n, ncp, d)
-    log_weights: np.ndarray  # (n, ncp)
-    x: np.ndarray  # (n, m, ncp)
-    master_seed: int
-    method: str
-
-    @property
-    def n(self) -> int:
-        return self.amps.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[2]
-
-
 def simulate_ensemble(
     aset: CommutingSet,
     psi0,
@@ -430,7 +425,6 @@ def simulate_ensemble(
     )
     is_white = kernel.family is KernelFamily.WHITE
     factor = None if is_white else build_covariance(grid, kernel)
-    kind = "increments" if is_white else "nodes"
 
     m = aset.num_ops
     amps = np.empty((n, len(cp_idx), psi0.size), dtype=np.complex128)
@@ -440,12 +434,11 @@ def simulate_ensemble(
     def run_chunk(lo: int, hi: int):
         count = hi - lo
         if is_white:
-            paths = sample_white_increments(grid, kernel.gamma, m, count, master_seed, start_index + lo)
+            batch = sample_white_increments(grid, kernel.gamma, m, count, master_seed, start_index + lo)
         else:
-            paths = sample_paths(factor, m, count, master_seed, start_index + lo)
-        w_stack = np.stack([p.w for p in paths])
-        x_cp = np.stack([p.x for p in paths])[:, :, cp_idx]
-        amps[lo:hi], logw[lo:hi] = chunk(kind, w_stack, x_cp)
+            batch = sample_paths(factor, m, count, master_seed, start_index + lo)
+        x_cp = batch.x[:, :, cp_idx]
+        amps[lo:hi], logw[lo:hi] = chunk(batch.kind, batch.w, x_cp)
         x_out[lo:hi] = x_cp
 
     bounds = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
@@ -457,5 +450,5 @@ def simulate_ensemble(
             run_chunk(*b)
 
     return EnsembleResult(
-        grid, cp_idx, grid.nodes()[cp_idx], amps, logw, x_out, master_seed, method
+        grid, cp_idx, grid.nodes()[cp_idx], amps, logw, x_out, master_seed, method, start_index
     )

@@ -126,26 +126,19 @@ def fn_validate(
         ext = grid
         factor = build_covariance(grid, kernel)
 
-    f_vals = np.empty(n)
-    df_vals = np.empty(n)
+    x_t = np.empty(n)
     w_end = np.empty(n)
     node_t = grid.steps  # index of t on the (possibly extended) node grid
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         if is_white:
-            paths = sample_white_increments(ext, gamma, 1, hi - lo, master_seed, lo)
-            for p in paths:
-                i = p.index
-                w_end[i] = 0.5 * (p.w[0, node_t - 1] + p.w[0, node_t])
-                xt = p.x[0, node_t]
-                f_vals[i], df_vals[i] = _functional_values(name, xt)
+            batch = sample_white_increments(ext, gamma, 1, hi - lo, master_seed, lo)
+            w_end[lo:hi] = 0.5 * (batch.w[:, 0, node_t - 1] + batch.w[:, 0, node_t])
         else:
-            paths = sample_paths(factor, 1, hi - lo, master_seed, lo)
-            for p in paths:
-                i = p.index
-                w_end[i] = p.w[0, node_t]
-                xt = p.x[0, node_t]
-                f_vals[i], df_vals[i] = _functional_values(name, xt)
+            batch = sample_paths(factor, 1, hi - lo, master_seed, lo)
+            w_end[lo:hi] = batch.w[:, 0, node_t]
+        x_t[lo:hi] = batch.x[:, 0, node_t]
+    f_vals, df_vals = _functional_values(name, x_t)
 
     lhs_samples = f_vals * w_end
     rhs_samples = (gamma * g_val) * df_vals
@@ -171,12 +164,13 @@ def fn_validate(
     )
 
 
-def _functional_values(name: str, xt: float) -> tuple[float, float]:
+def _functional_values(name: str, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and dF/dw(s) on [t0, t] for each sampled x(t)."""
     if name == "constant":
-        return 1.0, 0.0
+        return np.ones_like(xt), np.zeros_like(xt)
     if name == "linear_x":
-        return xt, 1.0
-    e = math.exp(xt)
+        return xt, np.ones_like(xt)
+    e = np.exp(xt)
     return e, e
 
 

@@ -27,11 +27,9 @@ from .noise import TimeGrid, checkpoint_indices
 
 __all__ = [
     "DensityPath",
-    "ObservableReport",
     "evolve_lindblad_csl",
     "evolve_colored_master",
     "offdiag_analytic",
-    "observable_mean",
     "ensemble_to_density",
     "fit_exponential_rate",
 ]
@@ -143,49 +141,6 @@ def offdiag_analytic(
         return 1.0
     f = kernel_double_integral(kernel, t, t0)
     return math.exp(-0.5 * kernel.gamma * gap * f)
-
-
-@dataclass
-class ObservableReport:
-    """<O>(t) along a density path plus the analytic right-hand-side check."""
-
-    times: np.ndarray
-    values: np.ndarray
-    rhs: np.ndarray  # analytic d<O>/dt at the checkpoints
-    fd: np.ndarray  # centered finite differences (nan at the ends)
-    max_mismatch: float  # max |fd - rhs| over interior checkpoints
-
-
-def observable_mean(
-    obs: np.ndarray,
-    path: DensityPath,
-    aset: CommutingSet,
-    kernel: CorrelationKernel,
-    kernel_t0: float | None = None,
-) -> ObservableReport:
-    """Tr(O rho(t)) with its derivative checked against the decay law."""
-    obs = np.asarray(obs, dtype=np.complex128)
-    if np.max(np.abs(obs - obs.conj().T)) > 1.0e-12:
-        raise ConfigError("observable must be Hermitian")
-    w = aset.pairwise_gap_sq()
-    t0 = path.times[0] if kernel_t0 is None else kernel_t0
-    values = np.array([float(np.trace(obs @ r).real) for r in path.rhos])
-    rhs = np.array(
-        [
-            -kernel.gamma
-            * kernel_cumulative(kernel, float(t), t0)
-            * float(np.trace((w * obs) @ r).real)
-            for t, r in zip(path.times, path.rhos)
-        ]
-    )
-    fd = np.full_like(values, np.nan)
-    if len(values) >= 3:
-        fd[1:-1] = (values[2:] - values[:-2]) / (path.times[2:] - path.times[:-2])
-    interior = slice(1, -1)
-    max_mismatch = (
-        float(np.max(np.abs(fd[interior] - rhs[interior]))) if len(values) >= 3 else 0.0
-    )
-    return ObservableReport(path.times, values, rhs, fd, max_mismatch)
 
 
 # ---------------------------------------------------------------------------

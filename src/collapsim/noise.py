@@ -7,6 +7,9 @@ cumulative of the node values.  White noise is represented by per-step
 increment values w_k ~ N(0, gamma/dt) and x accumulates them left-endpoint
 (Ito grid); the Stratonovich correction is the solver's business.
 
+Both samplers return one ``NoiseBatch``: row r of its w and x arrays is
+trajectory start_index + r, and a single realization is a batch of one.
+
 Reproducibility contract
 ------------------------
 Trajectory k of a run with master seed S draws its standard normals from
@@ -14,11 +17,13 @@ Trajectory k of a run with master seed S draws its standard normals from
     numpy.random.Generator(numpy.random.Philox(key=[S, k]))
 
 i.e. a counter-based stream keyed bit-exactly by (master_seed, trajectory
-index).  Paths therefore depend only on (S, k), never on worker count,
-chunking, or scheduling order.  After a gather step, the ensemble estimators
-reduce the gathered array in a fixed trajectory-index order with numpy, so
-they are byte-identical at any worker count; the cooking statistics still use
-compensated summation (fsum_ordered) in that order.
+index).  The colored transform z @ L.T is a stacked product with one GEMM per
+row, so a row never depends on the batch it was drawn in.  Paths therefore
+depend only on (S, k), never on worker count, chunking, or scheduling order.
+After a gather step, the ensemble estimators reduce the gathered array in a
+fixed trajectory-index order with numpy, so they are byte-identical at any
+worker count; the cooking statistics still use compensated summation
+(fsum_ordered) in that order.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .kernels import CorrelationKernel, KernelFamily, eval_zero_extended
 
 __all__ = [
     "TimeGrid",
-    "NoiseRealization",
+    "NoiseBatch",
     "CovarianceFactor",
     "child_generator",
     "build_covariance",
@@ -90,25 +95,31 @@ def checkpoint_indices(grid: TimeGrid, count: int = 50) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, grid.steps, count)).astype(int))
 
 
-@dataclass
-class NoiseRealization:
-    """One sampled path of m processes, plus its integrated process.
+@dataclass(frozen=True)
+class NoiseBatch:
+    """Sampled paths of m processes, one row per trajectory, plus their integrals.
 
-    ``kind`` records the representation: "nodes" (colored, values at nodes,
-    trapezoid x) or "increments" (white, per-step values, left-endpoint x).
-    x[:, 0] = 0 and x is bit-exactly recomputable from w via the matching
-    cumulative helper.
+    Row r is trajectory ``index + r`` under ``master_seed``.  ``kind`` records
+    the representation: "nodes" (colored, values at nodes, trapezoid x) or
+    "increments" (white, per-step values, left-endpoint x).  x[..., 0] = 0 and
+    x is bit-exactly recomputable from w via the matching cumulative helper.
+    ``batch[r]`` is the batch of one holding row r.
     """
 
     kind: str
-    w: np.ndarray  # (m, num_nodes) for "nodes"; (m, steps) for "increments"
-    x: np.ndarray  # (m, num_nodes)
+    w: np.ndarray  # (n, m, num_nodes) for "nodes"; (n, m, steps) for "increments"
+    x: np.ndarray  # (n, m, num_nodes)
     master_seed: int
-    index: int
+    index: int  # trajectory index of row 0
 
-    @property
-    def num_processes(self) -> int:
+    def __len__(self) -> int:
         return self.w.shape[0]
+
+    def __getitem__(self, r: int) -> NoiseBatch:
+        if not 0 <= r < len(self):
+            raise IndexError(f"row {r} out of range for a batch of {len(self)}")
+        rows = slice(r, r + 1)
+        return NoiseBatch(self.kind, self.w[rows], self.x[rows], self.master_seed, self.index + r)
 
 
 def trapezoid_cumulative(w: np.ndarray, dt: float) -> np.ndarray:
@@ -170,12 +181,14 @@ def build_covariance(grid: TimeGrid, kernel: CorrelationKernel) -> CovarianceFac
     )
 
 
-def _colored_path(factor: CovarianceFactor, num_processes: int, master_seed: int, index: int):
-    gen = child_generator(master_seed, index)
-    z = gen.standard_normal((num_processes, factor.grid.num_nodes))
-    w = z @ factor.cholesky.T  # rows: independent identical processes
-    x = trapezoid_cumulative(w, factor.grid.dt)
-    return w, x
+def _standard_normals(shape, n: int, master_seed: int, start_index: int) -> np.ndarray:
+    """z[k] of the given shape from the child stream of trajectory start_index + k."""
+    if n < 1:
+        raise ConfigError(f"need n >= 1 realizations, got {n}")
+    z = np.empty((n, *shape))
+    for k in range(n):
+        child_generator(master_seed, start_index + k).standard_normal(out=z[k])
+    return z
 
 
 def sample_paths(
@@ -184,28 +197,18 @@ def sample_paths(
     n: int,
     master_seed: int,
     start_index: int = 0,
-) -> list[NoiseRealization]:
+) -> NoiseBatch:
     """Draw n colored realizations with trajectory indices start_index + 0..n-1.
 
-    Each trajectory is sampled from its own child stream, one at a time, so
-    the values for a given (master_seed, index) never depend on n or on how
-    the ensemble is partitioned.
+    Each trajectory draws from its own child stream, and ``z @ L.T`` is a
+    stacked product, one GEMM per row, so the values for a given
+    (master_seed, index) never depend on n or on how the ensemble is
+    partitioned.  (A single 2-D GEMM over the whole batch would: its
+    rounding changes with the batch size.)
     """
-    if n < 1:
-        raise ConfigError(f"need n >= 1 realizations, got {n}")
-    out = []
-    for k in range(n):
-        idx = start_index + k
-        w, x = _colored_path(factor, num_processes, master_seed, idx)
-        out.append(NoiseRealization("nodes", w, x, master_seed, idx))
-    return out
-
-
-def _white_path(grid: TimeGrid, gamma: float, num_processes: int, master_seed: int, index: int):
-    gen = child_generator(master_seed, index)
-    w = gen.standard_normal((num_processes, grid.steps)) * math.sqrt(gamma / grid.dt)
-    x = left_cumulative(w, grid.dt)
-    return w, x
+    z = _standard_normals((num_processes, factor.grid.num_nodes), n, master_seed, start_index)
+    w = z @ factor.cholesky.T  # rows of each path: independent identical processes
+    return NoiseBatch("nodes", w, trapezoid_cumulative(w, factor.grid.dt), master_seed, start_index)
 
 
 def sample_white_increments(
@@ -215,16 +218,11 @@ def sample_white_increments(
     n: int,
     master_seed: int,
     start_index: int = 0,
-) -> list[NoiseRealization]:
+) -> NoiseBatch:
     """Draw n white realizations: independent per-step values ~ N(0, gamma/dt)."""
-    if n < 1:
-        raise ConfigError(f"need n >= 1 realizations, got {n}")
-    out = []
-    for k in range(n):
-        idx = start_index + k
-        w, x = _white_path(grid, gamma, num_processes, master_seed, idx)
-        out.append(NoiseRealization("increments", w, x, master_seed, idx))
-    return out
+    z = _standard_normals((num_processes, grid.steps), n, master_seed, start_index)
+    w = z * math.sqrt(gamma / grid.dt)
+    return NoiseBatch("increments", w, left_cumulative(w, grid.dt), master_seed, start_index)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,15 @@ def macro_config():
     }
 
 
+def fn_config():
+    return {
+        "task": "fn-check",
+        "kernel": {"family": "exponential", "gamma": 1.0, "tau": 0.3},
+        "grid": {"t0": 0.0, "t1": 1.0, "steps": 50},
+        "ensemble": {"trajectories": 500, "master_seed": 5},
+    }
+
+
 def with_value(cfg, where, value):
     """A copy of ``cfg`` with the dotted key ``where`` set to ``value``."""
     cfg = copy.deepcopy(cfg)
@@ -210,6 +219,8 @@ def run_bad(tmp_path, cfg):
         (traj_config, "grid.steps", 0),
         (traj_config, "ensemble.trajectories", 0),
         (traj_config, "reduction.min_decided", -0.5),
+        (traj_config, "reduction.threshold", 0.3),
+        (fn_config, "ensemble.trajectories", 1),
         (macro_config, "macro.lambda", -1.0),
     ],
 )

@@ -22,28 +22,28 @@ from collapsim import (
 from collapsim.dynamics import CHUNK, bump_realization
 from collapsim.errors import ConfigError, NonCommuting
 from collapsim.kernels import kernel_cumulative, kernel_double_integral
-from collapsim.noise import NoiseRealization, left_cumulative, trapezoid_cumulative
+from collapsim.noise import NoiseBatch, left_cumulative, trapezoid_cumulative
 
 from conftest import stderr_of_mean
 
 
 def zero_realization(grid, m=1, kind="nodes"):
     if kind == "nodes":
-        w = np.zeros((m, grid.num_nodes))
-        return NoiseRealization("nodes", w, trapezoid_cumulative(w, grid.dt), 0, 0)
-    w = np.zeros((m, grid.steps))
-    return NoiseRealization("increments", w, left_cumulative(w, grid.dt), 0, 0)
+        w = np.zeros((1, m, grid.num_nodes))
+        return NoiseBatch("nodes", w, trapezoid_cumulative(w, grid.dt), 0, 0)
+    w = np.zeros((1, m, grid.steps))
+    return NoiseBatch("increments", w, left_cumulative(w, grid.dt), 0, 0)
 
 
 def raw_amplitudes(record, cp=-1):
-    return record.states[cp] * math.exp(0.5 * record.log_weights[cp])
+    return record.amps[0, cp] * math.exp(0.5 * record.log_weights[0, cp])
 
 
 def test_gamma_zero_is_unitary(two_state, psi_born):
     grid = TimeGrid(0.0, 1.0, 1000)
     h0 = np.array([[0.2, 0.5], [0.5, -0.3]], dtype=complex)
     rz = sample_white_increments(grid, 1.0, 1, 1, master_seed=4)[0]
-    rz = NoiseRealization("increments", np.zeros_like(rz.w), np.zeros_like(rz.x), 0, 0)
+    rz = NoiseBatch("increments", np.zeros_like(rz.w), np.zeros_like(rz.x), 0, 0)
     rec = evolve_csl_white(h0, two_state, psi_born, grid, 0.0, rz)
     assert np.all(np.abs(rec.log_weights) <= 1e-10)
 
@@ -95,9 +95,9 @@ def test_log_ratio_of_eigenmanifold_weights():
     rec = evolve_colored_commuting(aset, [0.6, 0.8], grid, kernel, rz)
     for cp in (1, len(rec.times) - 1):
         t = rec.times[cp]
-        x = rec.x[0, cp]
+        x = rec.x[0, 0, cp]
         f = kernel_double_integral(kernel, float(t), 0.0)
-        probs = np.abs(rec.states[cp]) ** 2
+        probs = np.abs(rec.amps[0, cp]) ** 2
         got = math.log(probs[0] / probs[1]) - math.log(0.36 / 0.64)
         want = 2.0 * (1.3 - 0.4) * x - 2.0 * kernel.gamma * (1.3**2 - 0.4**2) * f
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
@@ -115,7 +115,7 @@ def test_white_kernel_exact_solver_matches_trotter(two_state, psi_born):
             two_state, psi_born, grid, white_kernel(gamma), rz, checkpoints=cp
         )
         assert np.allclose(a.log_weights, b.log_weights, rtol=0, atol=1e-6)
-        assert np.allclose(np.abs(a.states), np.abs(b.states), atol=1e-6)
+        assert np.allclose(np.abs(a.amps[0]), np.abs(b.amps[0]), atol=1e-6)
 
 
 def test_raw_linear_white_matches_closed_form(two_state, psi_born):
@@ -172,11 +172,11 @@ def test_step_halving_order_on_weights(two_state, psi_born):
 
     def weight_at(level):
         steps = 1024 // 2**level
-        agg = w_fine.reshape(1, steps, 2**level).mean(axis=2)
+        agg = w_fine.reshape(1, 1, steps, 2**level).mean(axis=3)
         grid = TimeGrid(0.0, 1.0, steps)
-        rz = NoiseRealization("increments", agg, left_cumulative(agg, grid.dt), 0, 0)
+        rz = NoiseBatch("increments", agg, left_cumulative(agg, grid.dt), 0, 0)
         rec = evolve_csl_white(h0, two_state, psi_born, grid, gamma, rz)
-        return rec.log_weights[-1]
+        return rec.log_weights[0, -1]
 
     w3, w2, w1 = weight_at(3), weight_at(2), weight_at(1)
     order = math.log2(abs(w3 - w2) / abs(w2 - w1))
@@ -195,7 +195,7 @@ def test_exactness_vs_step_doubled_ode(three_state, psi_three):
 
     a = three_state.table[0]
     nodes = grid.nodes()
-    w = rz.w[0]
+    w = rz.w[0, 0]
 
     def ode_solution(substeps):
         c = psi_three.astype(complex).copy()
@@ -231,7 +231,7 @@ def test_gauge_global_phase_does_not_matter(two_state, psi_born):
         two_state, psi_born * np.exp(1j * 0.813), grid, kernel, rz
     )
     assert np.allclose(rec1.log_weights, rec2.log_weights, rtol=0, atol=1e-12)
-    assert np.allclose(np.abs(rec1.states), np.abs(rec2.states), atol=1e-13)
+    assert np.allclose(np.abs(rec1.amps), np.abs(rec2.amps), atol=1e-13)
 
 
 def test_commuting_hamiltonian_phases(two_state, psi_born):
@@ -245,7 +245,7 @@ def test_commuting_hamiltonian_phases(two_state, psi_born):
     assert np.allclose(with_h.log_weights, without.log_weights, atol=1e-12)
     t = grid.t1
     expected_phase = np.exp(-1j * np.diag(h0) * t)
-    ratio = with_h.states[-1] / without.states[-1]
+    ratio = with_h.amps[0, -1] / without.amps[0, -1]
     assert np.allclose(ratio, expected_phase, atol=1e-10)
 
 
@@ -259,6 +259,19 @@ def test_noncommuting_h0_rejected(two_state, psi_born):
     # an input condition, not a numerical failure: the CLI exits 2 for it
     assert isinstance(err.value, ConfigError)
     assert "drop H0 or make it commute with the eigenvalue table" in str(err.value)
+
+
+def test_single_trajectory_needs_a_batch_of_one(two_state, psi_born):
+    grid = TimeGrid(0.0, 0.5, 50)
+    kernel = gaussian_kernel(0.8, 0.3)
+    colored = sample_paths(build_covariance(grid, kernel), 1, 2, master_seed=3)
+    white = sample_white_increments(grid, 0.8, 1, 2, master_seed=3)
+    with pytest.raises(ConfigError, match="batch of one"):
+        evolve_colored_commuting(two_state, psi_born, grid, kernel, colored)
+    with pytest.raises(ConfigError, match="batch of one"):
+        evolve_csl_white(None, two_state, psi_born, grid, 0.8, white)
+    rec = evolve_colored_commuting(two_state, psi_born, grid, kernel, colored[1])
+    assert rec.n == 1 and rec.index == 1 and rec.method == "exact_commuting"
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +342,13 @@ def test_bump_area_is_eps():
     grid = TimeGrid(0.0, 1.0, 100)
     rz = zero_realization(grid)
     bumped = bump_realization(rz, grid, s_index=50, process=0, eps=1e-3)
-    assert bumped.x[0, -1] == pytest.approx(1e-3, rel=1e-12)
+    assert bumped.x[0, 0, -1] == pytest.approx(1e-3, rel=1e-12)
     rzw = zero_realization(grid, kind="increments")
     bw = bump_realization(rzw, grid, s_index=50, process=0, eps=1e-3)
-    assert bw.x[0, -1] == pytest.approx(1e-3, rel=1e-12)
+    assert bw.x[0, 0, -1] == pytest.approx(1e-3, rel=1e-12)
     # endpoint bump keeps only half its area inside the window
     be = bump_realization(rzw, grid, s_index=100, process=0, eps=1e-3)
-    assert be.x[0, -1] == pytest.approx(0.5e-3, rel=1e-12)
+    assert be.x[0, 0, -1] == pytest.approx(0.5e-3, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +402,11 @@ def test_prefix_shard_and_batch_of_one_invariance(family):
         paths = sample_paths(build_covariance(grid, kernel), aset.num_ops, 3, seed, start_index=700)
         recs = [evolve_colored_commuting(aset, psi0, grid, kernel, rz, h0=h0, checkpoints=cp) for rz in paths]
     for j, rec in enumerate(recs):
+        rows = slice(700 + j, 701 + j)
         assert rec.index == 700 + j
-        assert np.array_equal(rec.x, full.x[700 + j])
-        assert np.allclose(rec.states, full.amps[700 + j], rtol=0, atol=1e-12)
-        assert np.allclose(rec.log_weights, full.log_weights[700 + j], rtol=0, atol=1e-12)
+        assert np.array_equal(rec.x, full.x[rows])
+        assert np.allclose(rec.amps, full.amps[rows], rtol=0, atol=1e-12)
+        assert np.allclose(rec.log_weights, full.log_weights[rows], rtol=0, atol=1e-12)
 
 
 def test_checkpoint_times_subset_of_nodes(two_state, psi_born):

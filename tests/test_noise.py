@@ -27,10 +27,6 @@ from collapsim.noise import (
 from conftest import stderr_of_mean
 
 
-def stack_paths(paths, attr="w"):
-    return np.stack([getattr(p, attr) for p in paths])
-
-
 def test_grid_validation():
     with pytest.raises(ConfigError):
         TimeGrid(0.0, 0.0, 10)
@@ -78,15 +74,33 @@ def test_covariance_not_psd_raises():
 def test_sampling_reproducibility_bitwise():
     grid = TimeGrid(0.0, 1.0, 32)
     factor = build_covariance(grid, gaussian_kernel(1.0, 0.4))
-    a = sample_paths(factor, 2, 3, master_seed=99)
-    b = sample_paths(factor, 2, 3, master_seed=99)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.w, pb.w) and np.array_equal(pa.x, pb.x)
-    # trajectory identity is absolute, not positional
-    solo = sample_paths(factor, 2, 1, master_seed=99, start_index=2)[0]
-    assert np.array_equal(solo.w, a[2].w)
-    other = sample_paths(factor, 2, 1, master_seed=100, start_index=2)[0]
-    assert not np.allclose(other.w, solo.w)
+    gamma = 0.7
+
+    def draw(kind, count, seed=99, start=0):
+        if kind == "nodes":
+            return sample_paths(factor, 2, count, seed, start_index=start)
+        return sample_white_increments(grid, gamma, 2, count, seed, start_index=start)
+
+    # n = 1100 crosses both the 512-row ensemble CHUNK and fncheck's 1024-row chunk
+    for kind in ("nodes", "increments"):
+        for n in (3, 1100):
+            a, b = draw(kind, n), draw(kind, n)
+            assert len(a) == n and a.index == 0 and a.kind == kind
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.x, b.x)
+            # row k is the stream of (seed, k) through the transform, bit for bit
+            for k in range(n):
+                z = child_generator(99, k).standard_normal((2, a.w.shape[2]))
+                want = z @ factor.cholesky.T if kind == "nodes" else z * math.sqrt(gamma / grid.dt)
+                assert np.array_equal(a.w[k], want)
+            # trajectory identity is absolute, not positional
+            for r in (0, 2, n - 1):
+                solo = draw(kind, 1, start=r)
+                assert a[r].index == r and solo.index == r
+                assert np.array_equal(a[r].w, solo.w) and np.array_equal(a[r].x, solo.x)
+            with pytest.raises(IndexError):
+                a[n]
+            other = draw(kind, 1, seed=100, start=2)
+            assert not np.allclose(other.w, a[2].w)
 
 
 def test_child_generator_streams_differ():
@@ -99,10 +113,10 @@ def test_integrated_path_invariants():
     grid = TimeGrid(0.0, 1.0, 64)
     factor = build_covariance(grid, exponential_kernel(1.0, 0.3))
     p = sample_paths(factor, 2, 1, master_seed=5)[0]
-    assert np.all(p.x[:, 0] == 0.0)
+    assert np.all(p.x[..., 0] == 0.0)
     assert np.array_equal(p.x, trapezoid_cumulative(p.w, grid.dt))
     wh = sample_white_increments(grid, 1.0, 2, 1, master_seed=5)[0]
-    assert np.all(wh.x[:, 0] == 0.0)
+    assert np.all(wh.x[..., 0] == 0.0)
     assert np.array_equal(wh.x, left_cumulative(wh.w, grid.dt))
 
 
@@ -111,7 +125,7 @@ def test_colored_sample_moments():
     kernel = gaussian_kernel(1.0, 0.5)
     factor = build_covariance(grid, kernel)
     n = 10_000
-    w = stack_paths(sample_paths(factor, 1, n, master_seed=31))[:, 0, :]  # (n, nodes)
+    w = sample_paths(factor, 1, n, master_seed=31).w[:, 0, :]  # (n, nodes)
     # zero mean within 4 sample standard errors per node
     for k in range(w.shape[1]):
         bound = 4.0 * w[:, k].std(ddof=1) / math.sqrt(n)
@@ -127,7 +141,7 @@ def test_gaussianity_kurtosis():
     grid = TimeGrid(0.0, 1.0, 8)
     factor = build_covariance(grid, exponential_kernel(1.0, 0.4))
     n = 10_000
-    w = stack_paths(sample_paths(factor, 1, n, master_seed=13))[:, 0, :]
+    w = sample_paths(factor, 1, n, master_seed=13).w[:, 0, :]
     bound = 5.0 * math.sqrt(24.0 / n)
     for k in (0, 4, 8):
         col = w[:, k]
@@ -140,13 +154,13 @@ def test_white_increment_variance_and_x():
     grid = TimeGrid(0.0, 1.0, 50)
     gamma, n = 0.8, 10_000
     paths = sample_white_increments(grid, gamma, 1, n, master_seed=21)
-    w = stack_paths(paths)[:, 0, :]
+    w = paths.w[:, 0, :]
     target = gamma / grid.dt
     var_hat = w.var(ddof=1, axis=0)
     se = target * math.sqrt(2.0 / (n - 1))
     assert np.all(np.abs(var_hat - target) <= 5.0 * se)
     # <x(t1)^2> = gamma * (t1 - t0): the white double-integral law
-    x1 = stack_paths(paths, "x")[:, 0, -1]
+    x1 = paths.x[:, 0, -1]
     vx = float(np.mean(x1**2))
     se_x = stderr_of_mean(x1**2)
     assert abs(vx - gamma * 1.0) <= 5.0 * se_x
@@ -157,7 +171,7 @@ def test_white_dt_invariance():
     vs = []
     for steps in (64, 128):
         grid = TimeGrid(0.0, 1.0, steps)
-        x1 = stack_paths(sample_white_increments(grid, gamma, 1, n, 77), "x")[:, 0, -1]
+        x1 = sample_white_increments(grid, gamma, 1, n, 77).x[:, 0, -1]
         vs.append((float(np.mean(x1**2)), stderr_of_mean(x1**2)))
     (v1, s1), (v2, s2) = vs
     assert abs(v1 - v2) <= 5.0 * math.hypot(s1, s2)
@@ -179,7 +193,7 @@ def test_integrated_variance_matches_gamma_f(kernel):
         paths = sample_white_increments(grid, kernel.gamma, 1, n, master_seed=55)
     else:
         paths = sample_paths(build_covariance(grid, kernel), 1, n, master_seed=55)
-    x = stack_paths(paths, "x")[:, 0, :]
+    x = paths.x[:, 0, :]
     for idx in checkpoint_indices(grid, 6)[1:]:  # 5 checkpoints past t0
         t = grid.nodes()[idx]
         target = kernel.gamma * kernel_double_integral(kernel, float(t), 0.0)

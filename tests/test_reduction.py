@@ -158,12 +158,12 @@ def test_white_and_colored_solvers_give_identical_labels(two_state, psi_born):
     from collapsim import evolve_colored_commuting, evolve_csl_white
 
     kernel = white_kernel(gamma)
-    amps_a = np.stack(
-        [evolve_csl_white(None, two_state, psi_born, grid, gamma, p, cp).states for p in paths]
+    amps_a = np.concatenate(
+        [evolve_csl_white(None, two_state, psi_born, grid, gamma, p, cp).amps for p in paths]
     )
-    amps_b = np.stack(
+    amps_b = np.concatenate(
         [
-            evolve_colored_commuting(two_state, psi_born, grid, kernel, p, checkpoints=cp).states
+            evolve_colored_commuting(two_state, psi_born, grid, kernel, p, checkpoints=cp).amps
             for p in paths
         ]
     )
