@@ -60,7 +60,6 @@ from .macrobody import (  # noqa: F401
     MacroParams,
     com_offdiag_decay,
     gamma_of_t,
-    kernel_factorized,
     macro_damping_rate,
     macro_damping_rate_quadrature,
     smeared_density,

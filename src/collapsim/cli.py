@@ -350,8 +350,8 @@ def _run_macro_rate(out_dir, params, body, displacements, times):
     for dq in displacements:
         q1 = np.array([dq, 0.0, 0.0])
         decay = com_offdiag_decay(body, q1, origin, times, params)
-        for t, dec in zip(times, decay):
-            rows.append((dq, t, macro_damping_rate(body, q1, origin, t, params), float(dec)))
+        rates = macro_damping_rate(body, q1, origin, times, params)
+        rows.extend((dq, t, rate, dec) for t, rate, dec in zip(times, rates.tolist(), decay.tolist()))
     _write_csv(
         os.path.join(out_dir, "macro_rate.csv"),
         ["dQ", "t", "Gamma", "decay_factor"],

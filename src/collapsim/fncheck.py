@@ -23,6 +23,10 @@ errors, and |LHS - RHS| in units of the *paired* standard error (the two
 sides are evaluated on the same paths, so the honest error is that of the
 per-trajectory difference).
 
+The paths are drawn once per (kernel, grid, n, seed): the endpoint values
+x(t) and w(t) of the last draw are kept, so checking the menu's functionals
+one after another on one kernel object samples its paths once.
+
 White noise keeps its discrete convention: w(t) at the final node is the
 average of the two adjacent step values (the grid is extended by one step to
 realize the boundary), which is exactly the half-weight the delta function
@@ -31,6 +35,7 @@ puts at the edge and is consistent with G_white = 1/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,28 +121,7 @@ def fn_validate(
     gamma = kernel.gamma
     g_val = kernel_cumulative(kernel, grid.t1, grid.t0)
     f_val = kernel_double_integral(kernel, grid.t1, grid.t0)
-    is_white = kernel.family is KernelFamily.WHITE
-
-    if is_white:
-        # one extra step so the boundary value (w_{M-1} + w_M)/2 exists
-        ext = TimeGrid(grid.t0, grid.t1 + grid.dt, grid.steps + 1)
-        factor = None
-    else:
-        ext = grid
-        factor = build_covariance(grid, kernel)
-
-    x_t = np.empty(n)
-    w_end = np.empty(n)
-    node_t = grid.steps  # index of t on the (possibly extended) node grid
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        if is_white:
-            batch = sample_white_increments(ext, gamma, 1, hi - lo, master_seed, lo)
-            w_end[lo:hi] = 0.5 * (batch.w[:, 0, node_t - 1] + batch.w[:, 0, node_t])
-        else:
-            batch = sample_paths(factor, 1, hi - lo, master_seed, lo)
-            w_end[lo:hi] = batch.w[:, 0, node_t]
-        x_t[lo:hi] = batch.x[:, 0, node_t]
+    x_t, w_end = _endpoints(kernel, grid, n, master_seed)
     f_vals, df_vals = _functional_values(name, x_t)
 
     lhs_samples = f_vals * w_end
@@ -162,6 +146,37 @@ def fn_validate(
         sigmas=sigmas,
         rhs_analytic=_analytic_rhs(name, gamma, g_val, f_val),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _endpoints(kernel: CorrelationKernel, grid: TimeGrid, n: int, master_seed: int):
+    """x(t) and w(t) at t = grid.t1 for trajectories 0..n-1, read-only.
+
+    Cached on (kernel, grid, n, master_seed): the kernel is ``eq=False``, so
+    the key is the object itself, and checking several functionals on one
+    kernel draws its paths once.
+    """
+    is_white = kernel.family is KernelFamily.WHITE
+    if is_white:
+        # one extra step so the boundary value (w_{M-1} + w_M)/2 exists
+        ext = TimeGrid(grid.t0, grid.t1 + grid.dt, grid.steps + 1)
+    else:
+        factor = build_covariance(grid, kernel)
+    x_t = np.empty(n)
+    w_end = np.empty(n)
+    node_t = grid.steps  # index of t on the (possibly extended) node grid
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        if is_white:
+            batch = sample_white_increments(ext, kernel.gamma, 1, hi - lo, master_seed, lo)
+            w_end[lo:hi] = 0.5 * (batch.w[:, 0, node_t - 1] + batch.w[:, 0, node_t])
+        else:
+            batch = sample_paths(factor, 1, hi - lo, master_seed, lo)
+            w_end[lo:hi] = batch.w[:, 0, node_t]
+        x_t[lo:hi] = batch.x[:, 0, node_t]
+    x_t.flags.writeable = False
+    w_end.flags.writeable = False
+    return x_t, w_end
 
 
 def _functional_values(name: str, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

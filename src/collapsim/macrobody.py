@@ -36,7 +36,6 @@ __all__ = [
     "SPEED_OF_LIGHT_CM_S",
     "MacroParams",
     "MacroBody",
-    "kernel_factorized",
     "gamma_of_t",
     "smeared_density",
     "macro_damping_rate",
@@ -122,27 +121,6 @@ class MacroBody:
         return cls(np.asarray(rows))
 
 
-def kernel_factorized(params: MacroParams):
-    """Space and time factors of the correlation kernel, as evaluators.
-
-    g(r) = gamma (alpha/4pi)^(3/2) exp(-alpha r^2 / 4)  carries the strength;
-    h(u) = (beta/4pi)^(1/2) exp(-beta u^2 / 4)          integrates to one.
-    """
-    alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    g_amp = gamma * (alpha / (4.0 * math.pi)) ** 1.5
-    h_amp = math.sqrt(beta / (4.0 * math.pi))
-
-    def g(r):
-        r = np.asarray(r, dtype=float)
-        return g_amp * np.exp(-(alpha / 4.0) * r**2)
-
-    def h(u):
-        u = np.asarray(u, dtype=float)
-        return h_amp * np.exp(-(beta / 4.0) * u**2)
-
-    return g, h
-
-
 def _gamma_ratio(params: MacroParams, t: float) -> float:
     """gamma(t)/gamma = erf(sqrt(beta) (t - t0) / 2), monotone from 0 to 1."""
     if t < params.t0:
@@ -181,19 +159,25 @@ def _pair_bracket(body: MacroBody, dq: np.ndarray, alpha: float) -> float:
 
 
 def macro_damping_rate(
-    body: MacroBody, q1: np.ndarray, q2: np.ndarray, t: float, params: MacroParams
-) -> float:
+    body: MacroBody, q1: np.ndarray, q2: np.ndarray, t: float | np.ndarray, params: MacroParams
+) -> float | np.ndarray:
     """Closed-form coherence decay rate Gamma(Q', Q'', t), in 1/s.
 
+    ``t`` is one time or an array of times; a float comes back for a scalar,
+    an array of t's shape for an array.  The pair bracket is computed once
+    for all times, and each rate is (lambda * gamma(t)/gamma) * bracket.
     Vanishes identically at Q' = Q'' and saturates at
     lambda * gamma(t)/gamma * N for well-separated constituents and large
     separation (the linear-in-N amplification).
     """
     dq = np.asarray(q1, dtype=float) - np.asarray(q2, dtype=float)
-    ratio = _gamma_ratio(params, t)
+    times = np.asarray(t, dtype=float)
+    ratios = np.array([_gamma_ratio(params, u) for u in times.ravel().tolist()]).reshape(times.shape)
     if np.all(dq == 0.0):
-        return 0.0
-    return params.reduction_rate_coeff * ratio * _pair_bracket(body, dq, params.alpha)
+        rates = np.zeros(times.shape)
+    else:
+        rates = (params.reduction_rate_coeff * ratios) * _pair_bracket(body, dq, params.alpha)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def macro_damping_rate_quadrature(

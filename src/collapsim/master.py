@@ -181,6 +181,7 @@ def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> Densit
     rhos = np.empty((ncp, d, d), dtype=np.complex128)
     err_re = np.empty((ncp, d, d))
     err_im = np.empty((ncp, d, d))
+    weighted = np.empty((n, d, d), dtype=np.complex128)  # one buffer for every checkpoint
     for c in range(ncp):
         lw = result.log_weights[:, c]
         peak = float(np.max(lw))
@@ -188,7 +189,8 @@ def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> Densit
             raise DegenerateEnsemble("all cooking weights underflow at this checkpoint")
         s = np.exp(lw - peak)
         psi = result.amps[:, c]
-        weighted = s[:, None, None] * (psi[:, :, None] * psi[:, None, :].conj())
+        np.multiply(psi[:, :, None], psi[:, None, :].conj(), out=weighted)
+        weighted *= s[:, None, None]
         bsums = np.add.reduceat(weighted, starts, axis=0)
         total = weighted.sum(axis=0)
         if mode == "cooked":

@@ -17,9 +17,12 @@ Trajectory k of a run with master seed S draws its standard normals from
     numpy.random.Generator(numpy.random.Philox(key=[S, k]))
 
 i.e. a counter-based stream keyed bit-exactly by (master_seed, trajectory
-index).  The colored transform z @ L.T is a stacked product with one GEMM per
-row, so a row never depends on the batch it was drawn in.  Paths therefore
-depend only on (S, k), never on worker count, chunking, or scheduling order.
+index).  ``child_generator`` is that definition; the samplers build one Philox
+per batch and re-key it to (S, k) for each row, which yields the same stream
+(Philox is counter-based).  The colored transform z @ L.T is a stacked
+product with one GEMM per row, so a row never depends on the batch it was
+drawn in.  Paths therefore depend only on (S, k), never on worker count,
+chunking, or scheduling order.
 After a gather step, the ensemble estimators reduce the gathered array in a
 fixed trajectory-index order with numpy, so they are byte-identical at any
 worker count; the cooking statistics still use compensated summation
@@ -186,8 +189,17 @@ def _standard_normals(shape, n: int, master_seed: int, start_index: int) -> np.n
     if n < 1:
         raise ConfigError(f"need n >= 1 realizations, got {n}")
     z = np.empty((n, *shape))
+    # One Philox per batch, re-keyed per row.  ``fresh`` is the state
+    # child_generator starts from (counter 0, empty buffer, no cached uint32);
+    # setting it with key[1] = start_index + k gives the stream of
+    # child_generator(master_seed, start_index + k) bit for bit.
+    bits = np.random.Philox(key=np.array([master_seed, start_index], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
     for k in range(n):
-        child_generator(master_seed, start_index + k).standard_normal(out=z[k])
+        fresh["state"]["key"][1] = start_index + k
+        bits.state = fresh
+        gen.standard_normal(out=z[k])
     return z
 
 

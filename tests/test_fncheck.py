@@ -1,5 +1,6 @@
 """Gaussian functional-average identity, per kernel family and functional."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import integrate
 
 from collapsim import TimeGrid, exponential_kernel, fn_validate, gaussian_kernel, white_kernel
 from collapsim.errors import UnknownFunctional
+from collapsim.fncheck import FN_FUNCTIONALS, _endpoints
 from collapsim.kernels import kernel_cumulative, kernel_double_integral, kernel_eval
 
 GRID = TimeGrid(0.0, 1.0, 200)
@@ -86,3 +88,32 @@ def test_rhs_quadrature_deterministic_and_stable(kernel):
 def test_report_carries_sample_count():
     rep = fn_validate(white_kernel(1.0), "constant", GRID, 256, master_seed=2)
     assert rep.n == 256 and rep.kernel_family == "white"
+
+
+def test_endpoint_draw_is_cached_per_kernel_grid_n_seed():
+    kernel = gaussian_kernel(0.8, 0.4)
+
+    def report(fn, k=kernel, n=3000, seed=9):
+        return repr(dataclasses.astuple(fn_validate(k, fn, GRID, n, master_seed=seed)))
+
+    cold = {}
+    for fn in FN_FUNCTIONALS:
+        _endpoints.cache_clear()
+        cold[fn] = report(fn)
+    # one draw serves every functional, bit for bit as a cold call
+    _endpoints.cache_clear()
+    warm = {fn: report(fn) for fn in FN_FUNCTIONALS}
+    info = _endpoints.cache_info()
+    assert (info.hits, info.misses) == (len(FN_FUNCTIONALS) - 1, 1)
+    assert warm == cold
+    # another seed, another n or an equal-but-distinct kernel object draws again
+    for changed in (dict(seed=10), dict(n=3001), dict(k=gaussian_kernel(0.8, 0.4))):
+        report("linear_x")
+        misses = _endpoints.cache_info().misses
+        report("linear_x", **changed)
+        assert _endpoints.cache_info().misses == misses + 1
+    # the cached arrays cannot be changed under a later caller
+    for arr in _endpoints(kernel, GRID, 3000, 9):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -1,4 +1,4 @@
-"""Physical parameters, factorized kernel, smeared density, damping rate."""
+"""Physical parameters, smeared density, damping rate."""
 
 import math
 
@@ -11,7 +11,6 @@ from collapsim import (
     MacroParams,
     com_offdiag_decay,
     gamma_of_t,
-    kernel_factorized,
     macro_damping_rate,
     macro_damping_rate_quadrature,
     smeared_density,
@@ -46,25 +45,6 @@ def test_unit_bridge_exact():
     p = MacroParams()
     assert p.reduction_rate_coeff == p.lam  # exact, by construction
     assert p.gamma * (p.alpha / (4.0 * math.pi)) ** 1.5 == pytest.approx(p.lam, rel=1e-12, abs=0.0)
-
-
-def test_kernel_factorized_values():
-    p = MacroParams()
-    g, h = kernel_factorized(p)
-    want_peak = p.gamma * (p.alpha / (4.0 * math.pi)) ** 1.5
-    assert g(0.0) == pytest.approx(want_peak, rel=1e-14, abs=0.0)
-    r = 2.0e-5
-    assert g(r) == g(-r)  # even in the separation
-    # h integrates to one over +-12/sqrt(beta): Gauss-Legendre oracle
-    half = 12.0 / math.sqrt(p.beta)
-    xg, wg = np.polynomial.legendre.leggauss(96)
-    val = float(np.sum(half * wg * h(half * xg)))
-    assert val == pytest.approx(1.0, abs=1e-8)
-    # and an independent adaptive-quadrature oracle at order-one beta
-    p1 = MacroParams(alpha=1.0, beta=1.0)
-    _, h1 = kernel_factorized(p1)
-    val1, _ = integrate.quad(lambda u: h1(u), -12.0, 12.0)
-    assert val1 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_gamma_of_t_limits():
@@ -111,6 +91,25 @@ def test_damping_rate_zero_at_equal_arguments():
     body = MacroBody.lattice(3, 2.0e-5)
     q = np.array([1.0e-4, 2.0e-5, 0.0])
     assert macro_damping_rate(body, q, q, 1.0e-12, p) == 0.0
+    rates = macro_damping_rate(body, q, q, [0.0, 1.0e-16, 1.0e-12, 3.0e14], p)
+    assert rates.shape == (4,) and np.all(rates == 0.0)
+
+
+def test_damping_rate_over_an_array_of_times():
+    # one call over many times gives exactly the scalar calls' values, in t's shape
+    p = MacroParams()
+    body = MacroBody.lattice(5, 12.0 / math.sqrt(p.alpha))
+    dq = np.array([3.0e-5, 1.0e-5, 0.0])
+    times = np.array([[0.0, 1.0e-16, 2.0e-16], [5.0e-16, 1.0e-13, 1.0e14]])
+    rates = macro_damping_rate(body, dq, ORIGIN, times, p)
+    assert rates.shape == times.shape
+    for t, rate in zip(times.ravel().tolist(), rates.ravel().tolist()):
+        assert rate == macro_damping_rate(body, dq, ORIGIN, t, p)
+    assert isinstance(macro_damping_rate(body, dq, ORIGIN, 1.0e-13, p), float)
+    # a time before t0 anywhere in the array is rejected, displaced or not
+    for q in (dq, ORIGIN):
+        with pytest.raises(InvalidInterval):
+            macro_damping_rate(body, q, ORIGIN, [1.0e-13, p.t0 - 1.0e-20, 1.0], p)
 
 
 def test_damping_rate_symmetry_and_positivity_random():

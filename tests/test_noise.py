@@ -81,17 +81,20 @@ def test_sampling_reproducibility_bitwise():
             return sample_paths(factor, 2, count, seed, start_index=start)
         return sample_white_increments(grid, gamma, 2, count, seed, start_index=start)
 
+    def assert_rows_are_child_streams(batch):
+        # row r is the stream of (seed, index + r) through the transform, bit for bit
+        for r in range(len(batch)):
+            z = child_generator(batch.master_seed, batch.index + r).standard_normal((2, batch.w.shape[2]))
+            want = z @ factor.cholesky.T if batch.kind == "nodes" else z * math.sqrt(gamma / grid.dt)
+            assert np.array_equal(batch.w[r], want)
+
     # n = 1100 crosses both the 512-row ensemble CHUNK and fncheck's 1024-row chunk
     for kind in ("nodes", "increments"):
         for n in (3, 1100):
             a, b = draw(kind, n), draw(kind, n)
             assert len(a) == n and a.index == 0 and a.kind == kind
             assert np.array_equal(a.w, b.w) and np.array_equal(a.x, b.x)
-            # row k is the stream of (seed, k) through the transform, bit for bit
-            for k in range(n):
-                z = child_generator(99, k).standard_normal((2, a.w.shape[2]))
-                want = z @ factor.cholesky.T if kind == "nodes" else z * math.sqrt(gamma / grid.dt)
-                assert np.array_equal(a.w[k], want)
+            assert_rows_are_child_streams(a)
             # trajectory identity is absolute, not positional
             for r in (0, 2, n - 1):
                 solo = draw(kind, 1, start=r)
@@ -101,6 +104,14 @@ def test_sampling_reproducibility_bitwise():
                 a[n]
             other = draw(kind, 1, seed=100, start=2)
             assert not np.allclose(other.w, a[2].w)
+        # the re-keyed draw at the key extremes: the largest seed, an index
+        # of 2**63, and a batch that ends at index 2**64 - 1
+        for seed, start in ((2**64 - 1, 0), (99, 2**63), (2**64 - 1, 2**64 - 5)):
+            top = draw(kind, 5, seed=seed, start=start)
+            assert top.master_seed == seed and top.index == start
+            assert_rows_are_child_streams(top)
+        with pytest.raises(OverflowError):  # an index past 2**64 - 1 never wraps to 0
+            draw(kind, 2, start=2**64 - 1)
 
 
 def test_child_generator_streams_differ():
