@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -45,6 +44,7 @@ TASKS = ("trajectories", "master", "fn-check", "macro-rate", "kernel-diag")
 
 _REQUIRED = object()  # schema default of a key that must be given
 _BLOCK = ("object", {}, None)
+_DUMP_BLOCK = 64  # trajectories per block of paths.csv, so a large dump streams
 
 # block -> key -> (JSON type, default or _REQUIRED, inclusive lower bound or None).
 # A one-element list [k] is a list of k, a tuple lists the allowed values, and
@@ -186,18 +186,17 @@ def _parse_macro(raw, base_dir):
     return params, body, macro["displacements"], macro["times"]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (np.floating, float)):
-        return repr(float(x))
-    return str(x)
+def _write_csv(path, header, blocks):
+    """Write ``header``, then the rows of each block, a list of equal-length columns.
 
-
-def _write_csv(path, header, rows):
+    Columns are Python lists (``ndarray.tolist()``), so every float is written
+    as its shortest repr; several blocks let a large file stream.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for columns in blocks:
+            writer.writerows(zip(*columns))
 
 
 def _write_manifest(out_dir, payload):
@@ -211,23 +210,20 @@ def _write_manifest(out_dir, payload):
 
 
 def _run_kernel_diag(out_dir, kernel, grid):
-    rows = []
-    for t in grid.nodes():
-        lag = float(t - grid.t0)
-        if kernel.family is KernelFamily.WHITE:
-            d_val = math.nan
-        else:
-            d_val = kernel_eval(kernel, float(t), grid.t0)
-        rows.append(
-            (
-                float(t),
-                lag,
-                d_val,
-                kernel_cumulative(kernel, float(t), grid.t0),
-                kernel_double_integral(kernel, float(t), grid.t0),
-            )
-        )
-    _write_csv(os.path.join(out_dir, "kernel_diag.csv"), ["t", "lag", "D", "G", "f"], rows)
+    nodes = grid.nodes()
+    ts = nodes.tolist()
+    if kernel.family is KernelFamily.WHITE:
+        d_vals = [math.nan] * len(ts)
+    else:
+        d_vals = [kernel_eval(kernel, t, grid.t0) for t in ts]
+    columns = [
+        ts,
+        (nodes - grid.t0).tolist(),
+        d_vals,
+        [kernel_cumulative(kernel, t, grid.t0) for t in ts],
+        [kernel_double_integral(kernel, t, grid.t0) for t in ts],
+    ]
+    _write_csv(os.path.join(out_dir, "kernel_diag.csv"), ["t", "lag", "D", "G", "f"], [columns])
     return ["kernel_diag.csv"]
 
 
@@ -247,12 +243,18 @@ def _dump_paths(out_dir, grid, kernel, m, n, seed):
         + [f"x_{i + 1}" for i in range(m)]
     )
     count = batch.w.shape[2]  # one row per node, or per step for white noise
-    w = batch.w.transpose(0, 2, 1).reshape(-1, m)
-    x = batch.x[:, :, :count].transpose(0, 2, 1).reshape(-1, m)
-    values = np.column_stack([np.tile(grid.nodes()[:count], n), w, x])
-    keys = itertools.product(range(batch.index, batch.index + n), range(count))
-    rows = ((i, k, *v) for (i, k), v in zip(keys, map(np.ndarray.tolist, values)))
-    _write_csv(os.path.join(out_dir, "paths.csv"), header, rows)
+    times = np.tile(grid.nodes()[:count], _DUMP_BLOCK).tolist()
+    ks = list(range(count)) * _DUMP_BLOCK
+
+    def block(lo):
+        hi = min(lo + _DUMP_BLOCK, n)
+        rows = (hi - lo) * count
+        w = batch.w[lo:hi].transpose(1, 0, 2).reshape(m, -1)
+        x = batch.x[lo:hi, :, :count].transpose(1, 0, 2).reshape(m, -1)
+        index = np.repeat(np.arange(batch.index + lo, batch.index + hi), count)
+        return [index.tolist(), ks[:rows], times[:rows], *w.tolist(), *x.tolist()]
+
+    _write_csv(os.path.join(out_dir, "paths.csv"), header, map(block, range(0, n, _DUMP_BLOCK)))
     return ["paths.csv"]
 
 
@@ -276,31 +278,28 @@ def _run_trajectories(out_dir, system, grid, kernel, ens, red):
         + [f"p_{a + 1}" for a in range(result.dim)]
         + ["dominant_outcome"]
     )
-    rows = []
-    for i in range(result.n):
-        for j, t in enumerate(result.times):
-            probs = np.abs(result.amps[i, j]) ** 2
-            rows.append(
-                (
-                    i,
-                    float(t),
-                    math.exp(min(result.log_weights[i, j], 709.0)),
-                    *probs.tolist(),
-                    labels[int(per_cp[i, j])],
-                )
-            )
-    _write_csv(os.path.join(out_dir, "trajectories.csv"), header, rows)
+    ncp = len(result.times)
+    probs = (np.abs(result.amps) ** 2).reshape(-1, result.dim).T
+    columns = [
+        np.repeat(np.arange(result.n), ncp).tolist(),
+        np.tile(result.times, result.n).tolist(),
+        [math.exp(min(lw, 709.0)) for lw in result.log_weights.ravel().tolist()],
+        *probs.tolist(),
+        [labels[c] for c in per_cp.ravel().tolist()],
+    ]
+    _write_csv(os.path.join(out_dir, "trajectories.csv"), header, [columns])
     artifacts = ["trajectories.csv"]
 
     report = born_frequencies(result, aset, psi0, threshold, min_decided=red["min_decided"])
-    stat_rows = [
-        (lbl, report.born[g], report.frequency[g], report.stderr[g], report.n_eff, report.undecided_fraction)
-        for g, lbl in enumerate(report.labels)
+    groups = len(report.labels)
+    stat_columns = [
+        report.labels, report.born.tolist(), report.frequency.tolist(), report.stderr.tolist(),
+        [report.n_eff] * groups, [report.undecided_fraction] * groups,
     ]
     _write_csv(
         os.path.join(out_dir, "statistics.csv"),
         ["outcome", "born_weight", "cooked_frequency", "stderr", "n_eff", "undecided_fraction"],
-        stat_rows,
+        [stat_columns],
     )
     artifacts.append("statistics.csv")
     if ens["dump_paths"]:
@@ -316,47 +315,45 @@ def _run_master(out_dir, system, grid, kernel, ncp):
         path = evolve_lindblad_csl(h0, aset, rho0, grid, kernel.gamma, checkpoints=cp)
     else:
         path = evolve_colored_master(aset, rho0, grid, kernel, checkpoints=cp)
-    rows = []
-    for j, t in enumerate(path.times):
-        for a in range(rho0.dim):
-            for b in range(rho0.dim):
-                rows.append(
-                    (float(t), a, b, path.rhos[j, a, b].real, path.rhos[j, a, b].imag, 0.0, 0.0)
-                )
+    d, ncp = rho0.dim, len(path.times)
+    zeros = [0.0] * (ncp * d * d)
+    columns = [
+        np.repeat(path.times, d * d).tolist(),
+        np.tile(np.repeat(np.arange(d), d), ncp).tolist(),
+        np.tile(np.arange(d), d * ncp).tolist(),
+        path.rhos.real.ravel().tolist(),
+        path.rhos.imag.ravel().tolist(),
+        zeros,
+        zeros,
+    ]
     _write_csv(
         os.path.join(out_dir, "density.csv"),
         ["t", "i", "j", "re", "im", "stderr_re", "stderr_im"],
-        rows,
+        [columns],
     )
     return ["density.csv"]
 
 
 def _run_fn_check(out_dir, kernel, grid, ens, functionals):
-    rows = []
-    for fn in functionals:
-        rep = fn_validate(kernel, fn, grid, ens["trajectories"], ens["master_seed"])
-        rows.append((rep.kernel_family, rep.functional, rep.lhs, rep.rhs, rep.diff_stderr, rep.sigmas))
+    reports = [fn_validate(kernel, fn, grid, ens["trajectories"], ens["master_seed"]) for fn in functionals]
+    fields = ("kernel_family", "functional", "lhs", "rhs", "diff_stderr", "sigmas")
     _write_csv(
         os.path.join(out_dir, "fncheck.csv"),
         ["kernel", "functional", "lhs", "rhs", "stderr", "sigmas"],
-        rows,
+        [[[getattr(rep, f) for rep in reports] for f in fields]],
     )
     return ["fncheck.csv"]
 
 
 def _run_macro_rate(out_dir, params, body, displacements, times):
     origin = np.zeros(3)
-    rows = []
+    rates, decays = [], []
     for dq in displacements:
         q1 = np.array([dq, 0.0, 0.0])
-        decay = com_offdiag_decay(body, q1, origin, times, params)
-        rates = macro_damping_rate(body, q1, origin, times, params)
-        rows.extend((dq, t, rate, dec) for t, rate, dec in zip(times, rates.tolist(), decay.tolist()))
-    _write_csv(
-        os.path.join(out_dir, "macro_rate.csv"),
-        ["dQ", "t", "Gamma", "decay_factor"],
-        rows,
-    )
+        decays += com_offdiag_decay(body, q1, origin, times, params).tolist()
+        rates += macro_damping_rate(body, q1, origin, times, params).tolist()
+    columns = [[dq for dq in displacements for _ in times], times * len(displacements), rates, decays]
+    _write_csv(os.path.join(out_dir, "macro_rate.csv"), ["dQ", "t", "Gamma", "decay_factor"], [columns])
     return ["macro_rate.csv"]
 
 
