@@ -261,8 +261,9 @@ def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
 
 
 def _single(method, aset, psi0, grid, h0, checkpoints, gamma, kernel, realization):
-    if len(realization) != 1:
-        raise ConfigError(f"a single trajectory needs a batch of one, got {len(realization)} rows")
+    if len(realization) != 1 or realization.kind == "projected":
+        got = f"{len(realization)} {realization.kind} rows"
+        raise ConfigError(f"a single trajectory needs a batch of one with full paths, got {got}")
     method, _, cp_idx, chunk = _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel)
     x_cp = realization.x[:, :, cp_idx]
     amps, logw = chunk(realization.kind, realization.w, x_cp)
@@ -425,6 +426,8 @@ def simulate_ensemble(
     )
     is_white = kernel.family is KernelFamily.WHITE
     factor = None if is_white else build_covariance(grid, kernel)
+    # the closed form reads a colored x only at the checkpoints
+    nodes = cp_idx if method == "exact_commuting" and not is_white else None
 
     m = aset.num_ops
     amps = np.empty((n, len(cp_idx), psi0.size), dtype=np.complex128)
@@ -436,8 +439,8 @@ def simulate_ensemble(
         if is_white:
             batch = sample_white_increments(grid, kernel.gamma, m, count, master_seed, start_index + lo)
         else:
-            batch = sample_paths(factor, m, count, master_seed, start_index + lo)
-        x_cp = batch.x[:, :, cp_idx]
+            batch = sample_paths(factor, m, count, master_seed, start_index + lo, nodes=nodes)
+        x_cp = batch.x if nodes is not None else batch.x[:, :, cp_idx]
         amps[lo:hi], logw[lo:hi] = chunk(batch.kind, batch.w, x_cp)
         x_out[lo:hi] = x_cp
 

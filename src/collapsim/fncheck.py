@@ -170,10 +170,10 @@ def _endpoints(kernel: CorrelationKernel, grid: TimeGrid, n: int, master_seed: i
         if is_white:
             batch = sample_white_increments(ext, kernel.gamma, 1, hi - lo, master_seed, lo)
             w_end[lo:hi] = 0.5 * (batch.w[:, 0, node_t - 1] + batch.w[:, 0, node_t])
+            x_t[lo:hi] = batch.x[:, 0, node_t]
         else:
-            batch = sample_paths(factor, 1, hi - lo, master_seed, lo)
-            w_end[lo:hi] = batch.w[:, 0, node_t]
-        x_t[lo:hi] = batch.x[:, 0, node_t]
+            batch = sample_paths(factor, 1, hi - lo, master_seed, lo, nodes=[node_t])
+            w_end[lo:hi], x_t[lo:hi] = batch.w[:, 0, 0], batch.x[:, 0, 0]
     x_t.flags.writeable = False
     w_end.flags.writeable = False
     return x_t, w_end

@@ -103,15 +103,16 @@ class NoiseBatch:
     """Sampled paths of m processes, one row per trajectory, plus their integrals.
 
     Row r is trajectory ``index + r`` under ``master_seed``.  ``kind`` records
-    the representation: "nodes" (colored, values at nodes, trapezoid x) or
-    "increments" (white, per-step values, left-endpoint x).  x[..., 0] = 0 and
-    x is bit-exactly recomputable from w via the matching cumulative helper.
+    the representation: "nodes" (colored, values at nodes, trapezoid x),
+    "increments" (white, per-step values, left-endpoint x) or "projected"
+    (colored, w and x at requested nodes only, never a path to step along).
+    Otherwise x[..., 0] = 0 and x is bit-exactly w's matching cumulative.
     ``batch[r]`` is the batch of one holding row r.
     """
 
     kind: str
-    w: np.ndarray  # (n, m, num_nodes) for "nodes"; (n, m, steps) for "increments"
-    x: np.ndarray  # (n, m, num_nodes)
+    w: np.ndarray  # (n, m, num_nodes) "nodes"; (n, m, steps) "increments"; (n, m, k) "projected"
+    x: np.ndarray  # (n, m, num_nodes); (n, m, k) "projected"
     master_seed: int
     index: int  # trajectory index of row 0
 
@@ -203,22 +204,38 @@ def _standard_normals(shape, n: int, master_seed: int, start_index: int) -> np.n
     return z
 
 
+def _projection(factor: CovarianceFactor, nodes) -> np.ndarray:
+    """B = [L[nodes]; T[nodes] @ L], T the trapezoid rows, so z @ B.T is w and x at nodes.
+
+    T @ L is ``trapezoid_cumulative`` down L's columns: node 0's x row is exactly 0.
+    """
+    chol = factor.cholesky
+    x_rows = factor.grid.dt * (np.cumsum(chol, axis=0)[nodes] - 0.5 * (chol[nodes] + chol[0]))
+    return np.vstack([chol[nodes], x_rows])
+
+
 def sample_paths(
     factor: CovarianceFactor,
     num_processes: int,
     n: int,
     master_seed: int,
     start_index: int = 0,
+    nodes=None,
 ) -> NoiseBatch:
     """Draw n colored realizations with trajectory indices start_index + 0..n-1.
 
-    Each trajectory draws from its own child stream, and ``z @ L.T`` is a
-    stacked product, one GEMM per row, so the values for a given
-    (master_seed, index) never depend on n or on how the ensemble is
-    partitioned.  (A single 2-D GEMM over the whole batch would: its
-    rounding changes with the batch size.)
+    Row k is z_k @ L.T, z_k the normals of trajectory start_index + k.  With
+    ``nodes`` (grid node indices) it is z_k @ B.T, B = ``_projection(factor,
+    nodes)``: w and x at those nodes only, kind "projected", column j being
+    node nodes[j].  Either product is stacked, one GEMM per row, so a row
+    never depends on n or on how the ensemble is partitioned.  (A single
+    2-D GEMM over the whole batch would: its rounding changes with n.)
     """
     z = _standard_normals((num_processes, factor.grid.num_nodes), n, master_seed, start_index)
+    if nodes is not None:
+        wx = z @ _projection(factor, nodes).T
+        k = wx.shape[-1] // 2
+        return NoiseBatch("projected", wx[..., :k], wx[..., k:], master_seed, start_index)
     w = z @ factor.cholesky.T  # rows of each path: independent identical processes
     return NoiseBatch("nodes", w, trapezoid_cumulative(w, factor.grid.dt), master_seed, start_index)
 

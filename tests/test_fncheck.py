@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from collapsim import TimeGrid, exponential_kernel, fn_validate, gaussian_kernel, white_kernel
+from collapsim import (
+    TimeGrid,
+    build_covariance,
+    exponential_kernel,
+    fn_validate,
+    gaussian_kernel,
+    sample_paths,
+    white_kernel,
+)
 from collapsim.errors import UnknownFunctional
 from collapsim.fncheck import FN_FUNCTIONALS, _endpoints
 from collapsim.kernels import kernel_cumulative, kernel_double_integral, kernel_eval
@@ -117,3 +125,15 @@ def test_endpoint_draw_is_cached_per_kernel_grid_n_seed():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("kernel", [exponential_kernel(1.0, 0.3), gaussian_kernel(0.8, 0.4)])
+def test_colored_endpoints_agree_with_full_paths(kernel):
+    # x(t) and w(t) come from z @ B.T at the last node only; n = 1100 crosses
+    # the 1024-row chunk.  They match the full paths' last node to rounding.
+    n = 1100
+    _endpoints.cache_clear()
+    x_t, w_end = _endpoints(kernel, GRID, n, 9)
+    full = sample_paths(build_covariance(GRID, kernel), 1, n, 9)
+    assert np.max(np.abs(x_t - full.x[:, 0, -1])) <= 1e-14
+    assert np.max(np.abs(w_end - full.w[:, 0, -1])) <= 1e-14

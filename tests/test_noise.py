@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from collapsim import (
+    CommutingSet,
     TimeGrid,
     build_covariance,
+    evolve_colored_commuting,
     exponential_kernel,
     gaussian_kernel,
     sample_paths,
@@ -18,6 +20,7 @@ from collapsim import (
 from collapsim.errors import ConfigError, KernelNotPSD, UnsupportedPointwiseEval
 from collapsim.kernels import kernel_double_integral
 from collapsim.noise import (
+    _projection,
     checkpoint_indices,
     child_generator,
     left_cumulative,
@@ -75,21 +78,29 @@ def test_sampling_reproducibility_bitwise():
     grid = TimeGrid(0.0, 1.0, 32)
     factor = build_covariance(grid, gaussian_kernel(1.0, 0.4))
     gamma = 0.7
+    nodes = np.array([0, 5, 17, 32])
 
     def draw(kind, count, seed=99, start=0):
         if kind == "nodes":
             return sample_paths(factor, 2, count, seed, start_index=start)
+        if kind == "projected":
+            return sample_paths(factor, 2, count, seed, start_index=start, nodes=nodes)
         return sample_white_increments(grid, gamma, 2, count, seed, start_index=start)
 
     def assert_rows_are_child_streams(batch):
         # row r is the stream of (seed, index + r) through the transform, bit for bit
         for r in range(len(batch)):
+            if batch.kind == "projected":
+                z = child_generator(batch.master_seed, batch.index + r).standard_normal((2, grid.num_nodes))
+                assert np.array_equal(np.concatenate([batch.w[r], batch.x[r]], axis=-1),
+                                      z @ _projection(factor, nodes).T)
+                continue
             z = child_generator(batch.master_seed, batch.index + r).standard_normal((2, batch.w.shape[2]))
             want = z @ factor.cholesky.T if batch.kind == "nodes" else z * math.sqrt(gamma / grid.dt)
             assert np.array_equal(batch.w[r], want)
 
     # n = 1100 crosses both the 512-row ensemble CHUNK and fncheck's 1024-row chunk
-    for kind in ("nodes", "increments"):
+    for kind in ("nodes", "increments", "projected"):
         for n in (3, 1100):
             a, b = draw(kind, n), draw(kind, n)
             assert len(a) == n and a.index == 0 and a.kind == kind
@@ -129,6 +140,32 @@ def test_integrated_path_invariants():
     wh = sample_white_increments(grid, 1.0, 2, 1, master_seed=5)[0]
     assert np.all(wh.x[..., 0] == 0.0)
     assert np.array_equal(wh.x, left_cumulative(wh.w, grid.dt))
+
+
+@pytest.mark.parametrize("kernel", [exponential_kernel(1.0, 0.3), gaussian_kernel(0.8, 0.25)])
+def test_projected_batch_is_the_full_path_at_its_nodes(kernel):
+    # w and x at a few nodes, read from z @ B.T, agree with the full path to
+    # rounding; x at t0 stays exactly +0.0
+    grid = TimeGrid(0.0, 1.65, 330)
+    factor = build_covariance(grid, kernel)
+    nodes = checkpoint_indices(grid, 11)
+    full = sample_paths(factor, 2, 700, master_seed=21)
+    proj = sample_paths(factor, 2, 700, master_seed=21, nodes=nodes)
+    assert proj.kind == "projected" and proj.w.shape == proj.x.shape == (700, 2, len(nodes))
+    assert np.max(np.abs(proj.x - full.x[:, :, nodes])) <= 1e-14
+    assert np.max(np.abs(proj.w - full.w[:, :, nodes])) <= 1e-14
+    assert nodes[0] == 0 and np.all(proj.x[:, :, 0] == 0.0) and not np.any(np.signbit(proj.x[:, :, 0]))
+    # B against the trapezoid rows written out one coefficient at a time
+    trap = np.zeros((len(nodes), grid.num_nodes))
+    for row, j in enumerate(nodes):
+        for i in range(1, j + 1):
+            trap[row, i - 1] += 0.5 * grid.dt
+            trap[row, i] += 0.5 * grid.dt
+    want = np.vstack([factor.cholesky[nodes], trap @ factor.cholesky])
+    assert np.allclose(_projection(factor, nodes), want, rtol=0, atol=1e-14)
+    # a batch of one projected row is no path for a single-trajectory solver
+    with pytest.raises(ConfigError, match="full paths"):
+        evolve_colored_commuting(CommutingSet([[1.0, -1.0], [0.0, 1.0]]), [0.6, 0.8], grid, kernel, proj[0])
 
 
 def test_colored_sample_moments():
