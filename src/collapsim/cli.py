@@ -187,11 +187,8 @@ def _parse_macro(raw, base_dir):
 
 
 def _write_csv(path, header, blocks):
-    """Write ``header``, then the rows of each block, a list of equal-length columns.
-
-    Columns are Python lists (``ndarray.tolist()``), so every float is written
-    as its shortest repr; several blocks let a large file stream.
-    """
+    """Write ``header``, then the rows of each block: equal-length columns built with
+    ``ndarray.tolist()``, so floats print as their repr.  Several blocks let a file stream."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -210,16 +207,12 @@ def _write_manifest(out_dir, payload):
 
 
 def _run_kernel_diag(out_dir, kernel, grid):
-    nodes = grid.nodes()
-    ts = nodes.tolist()
-    if kernel.family is KernelFamily.WHITE:
-        d_vals = [math.nan] * len(ts)
-    else:
-        d_vals = [kernel_eval(kernel, t, grid.t0) for t in ts]
+    ts = grid.nodes().tolist()
+    white = kernel.family is KernelFamily.WHITE
     columns = [
         ts,
-        (nodes - grid.t0).tolist(),
-        d_vals,
+        (grid.nodes() - grid.t0).tolist(),
+        [math.nan if white else kernel_eval(kernel, t, grid.t0) for t in ts],
         [kernel_cumulative(kernel, t, grid.t0) for t in ts],
         [kernel_double_integral(kernel, t, grid.t0) for t in ts],
     ]
@@ -228,31 +221,23 @@ def _run_kernel_diag(out_dir, kernel, grid):
 
 
 def _dump_paths(out_dir, grid, kernel, m, n, seed):
-    print(
-        f"collapsim: dumping {n} noise paths ({grid.num_nodes} nodes each); "
-        "this can be a large file",
-        file=sys.stderr,
-    )
+    print(f"collapsim: dumping {n} noise paths ({grid.num_nodes} nodes each); this can be a large file",
+          file=sys.stderr)
     if kernel.family is KernelFamily.WHITE:
         batch = sample_white_increments(grid, kernel.gamma, m, n, seed)
     else:
         batch = sample_paths(build_covariance(grid, kernel), m, n, seed)
-    header = (
-        ["trajectory", "k", "t_k"]
-        + [f"w_{i + 1}" for i in range(m)]
-        + [f"x_{i + 1}" for i in range(m)]
-    )
+    header = ["trajectory", "k", "t_k", *(f"w_{i + 1}" for i in range(m)), *(f"x_{i + 1}" for i in range(m))]
     count = batch.w.shape[2]  # one row per node, or per step for white noise
     times = np.tile(grid.nodes()[:count], _DUMP_BLOCK).tolist()
     ks = list(range(count)) * _DUMP_BLOCK
 
     def block(lo):
         hi = min(lo + _DUMP_BLOCK, n)
-        rows = (hi - lo) * count
         w = batch.w[lo:hi].transpose(1, 0, 2).reshape(m, -1)
         x = batch.x[lo:hi, :, :count].transpose(1, 0, 2).reshape(m, -1)
         index = np.repeat(np.arange(batch.index + lo, batch.index + hi), count)
-        return [index.tolist(), ks[:rows], times[:rows], *w.tolist(), *x.tolist()]
+        return [index.tolist(), ks[: index.size], times[: index.size], *w.tolist(), *x.tolist()]
 
     _write_csv(os.path.join(out_dir, "paths.csv"), header, map(block, range(0, n, _DUMP_BLOCK)))
     return ["paths.csv"]
@@ -265,25 +250,19 @@ def _run_trajectories(out_dir, system, grid, kernel, ens, red):
         aset, psi0, grid, kernel, n, seed, h0=h0, method="auto",
         checkpoints=checkpoint_indices(grid, ens["checkpoints"]), workers=ens["workers"],
     )
-    groups = aset.outcome_groups()
-    labels = {g: grp.label for g, grp in enumerate(groups)}
+    labels = {g: grp.label for g, grp in enumerate(aset.outcome_groups())}
     labels[UNDECIDED] = "undecided"
     per_cp = np.stack(
         [classify_outcomes(result, aset, threshold, checkpoint=j) for j in range(len(result.times))],
         axis=1,
     )
 
-    header = (
-        ["trajectory", "t", "weight"]
-        + [f"p_{a + 1}" for a in range(result.dim)]
-        + ["dominant_outcome"]
-    )
-    ncp = len(result.times)
+    header = ["trajectory", "t", "log_weight", *(f"p_{a + 1}" for a in range(result.dim)), "dominant_outcome"]
     probs = (np.abs(result.amps) ** 2).reshape(-1, result.dim).T
     columns = [
-        np.repeat(np.arange(result.n), ncp).tolist(),
+        np.repeat(np.arange(result.n), len(result.times)).tolist(),
         np.tile(result.times, result.n).tolist(),
-        [math.exp(min(lw, 709.0)) for lw in result.log_weights.ravel().tolist()],
+        result.log_weights.ravel().tolist(),
         *probs.tolist(),
         [labels[c] for c in per_cp.ravel().tolist()],
     ]

@@ -25,6 +25,7 @@ which is the linear-in-N amplification of the damping rate.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -78,7 +79,7 @@ class MacroParams:
         return self.lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MacroBody:
     """Rigid body given by its constituent equilibrium offsets (N, 3) in cm."""
 
@@ -105,17 +106,16 @@ class MacroBody:
 
     @classmethod
     def from_csv(cls, path) -> "MacroBody":
-        """Load (i, qx, qy, qz) rows; the index column is ignored."""
+        """Load (i, qx, qy, qz) rows; the index column is ignored, a header row allowed."""
         rows = []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
+            reader = csv.reader(fh)
+            for seen, row in enumerate(filter(None, reader)):
                 try:
                     rows.append([float(row[1]), float(row[2]), float(row[3])])
                 except (ValueError, IndexError):
-                    if rows:
-                        raise ConfigError(f"bad body row: {row!r}")
+                    if seen:  # only the first non-empty row may be a header
+                        raise ConfigError(f"body file {path} line {reader.line_num}: bad row {row!r}")
         if not rows:
             raise ConfigError(f"body file {path} holds no constituents")
         return cls(np.asarray(rows))
@@ -149,8 +149,16 @@ def smeared_density(body: MacroBody, q: np.ndarray, x: np.ndarray, params: Macro
     return float(out) if out.ndim == 0 else out
 
 
-def _pair_bracket(body: MacroBody, dq: np.ndarray, alpha: float) -> float:
-    """sum_ij [e^{-(alpha/4)(qi-qj)^2} - e^{-(alpha/4)(dq+qi-qj)^2}]."""
+@functools.lru_cache(maxsize=1)
+def _pair_bracket(body: MacroBody, q1: tuple, q2: tuple, alpha: float) -> float:
+    """sum_ij [e^{-(alpha/4)(qi-qj)^2} - e^{-(alpha/4)(dq+qi-qj)^2}], dq = q1 - q2, 0 at dq = 0.
+
+    Cached (the key is the ``eq=False`` body object itself), so the decay and
+    the rate at one displacement compute it once.
+    """
+    dq = np.asarray(q1, dtype=float) - np.asarray(q2, dtype=float)
+    if np.all(dq == 0.0):
+        return 0.0
     off = body.offsets
     rel = off[:, None, :] - off[None, :, :]  # (N, N, 3)
     same = np.exp(-(alpha / 4.0) * np.sum(rel**2, axis=-1))
@@ -170,13 +178,9 @@ def macro_damping_rate(
     lambda * gamma(t)/gamma * N for well-separated constituents and large
     separation (the linear-in-N amplification).
     """
-    dq = np.asarray(q1, dtype=float) - np.asarray(q2, dtype=float)
     times = np.asarray(t, dtype=float)
     ratios = np.array([_gamma_ratio(params, u) for u in times.ravel().tolist()]).reshape(times.shape)
-    if np.all(dq == 0.0):
-        rates = np.zeros(times.shape)
-    else:
-        rates = (params.reduction_rate_coeff * ratios) * _pair_bracket(body, dq, params.alpha)
+    rates = (params.reduction_rate_coeff * ratios) * _pair_bracket(body, tuple(q1), tuple(q2), params.alpha)
     return float(rates) if rates.ndim == 0 else rates
 
 
@@ -234,8 +238,7 @@ def com_offdiag_decay(
     exp(-int_{t0}^{t} Gamma(Q', Q'', u) du); only gamma(u) depends on time,
     so the geometric pair bracket factors out of the integral.
     """
-    dq = np.asarray(q1, dtype=float) - np.asarray(q2, dtype=float)
-    bracket = 0.0 if np.all(dq == 0.0) else _pair_bracket(body, dq, params.alpha)
+    bracket = _pair_bracket(body, tuple(q1), tuple(q2), params.alpha)
     coeff = params.reduction_rate_coeff * bracket
     out = np.array(
         [math.exp(-coeff * _gamma_ratio_time_integral(params, float(t))) for t in np.atleast_1d(times)]

@@ -13,13 +13,26 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from collapsim.cli import _SCHEMA, _as_int, _plan, _run_trajectories, main
+from collapsim.dynamics import simulate_ensemble
 from collapsim.errors import ConfigError
+from collapsim.fncheck import fn_validate
+from collapsim.hilbert import DensityMatrix, pure_density
 from collapsim.kernels import (
+    KernelFamily,
     exponential_kernel,
     kernel_cumulative,
     kernel_double_integral,
     kernel_eval,
 )
+from collapsim.macrobody import MacroBody, com_offdiag_decay, macro_damping_rate
+from collapsim.master import evolve_colored_master, evolve_lindblad_csl
+from collapsim.noise import (
+    build_covariance,
+    checkpoint_indices,
+    sample_paths,
+    sample_white_increments,
+)
+from collapsim.reduction import UNDECIDED, born_frequencies, classify_outcomes
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -391,7 +404,7 @@ def test_trajectories_artifacts_well_formed(tmp_path):
     cfg["ensemble"]["dump_paths"] = True
     assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     header, rows = read_csv(out / "trajectories.csv")
-    assert header == ["trajectory", "t", "weight", "p_1", "p_2", "dominant_outcome"]
+    assert header == ["trajectory", "t", "log_weight", "p_1", "p_2", "dominant_outcome"]
     assert len(rows) == 150 * 4
     probs = np.array([[float(r[3]), float(r[4])] for r in rows])
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -504,3 +517,136 @@ def test_tabulated_kernel_path_relative_to_config(tmp_path):
     assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     _, rows = read_csv(out / "kernel_diag.csv")
     assert float(rows[1][2]) == pytest.approx(0.75)  # D at lag 0.25
+
+
+def _reference_csv(path, header, rows):
+    """The per-row writer the columnar one replaced: repr(float(v)) for floats, str(v) otherwise."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row])
+
+
+def _reference_artifacts(task, args, out):
+    """Every CSV of ``task``, built row by row from the library calls the CLI makes."""
+    if task == "trajectories":
+        (aset, psi0, h0), grid, kernel, ens, red = args
+        n, seed = ens["trajectories"], ens["master_seed"]
+        res = simulate_ensemble(aset, psi0, grid, kernel, n, seed, h0=h0,
+                                checkpoints=checkpoint_indices(grid, ens["checkpoints"]))
+        labels = {g: grp.label for g, grp in enumerate(aset.outcome_groups())}
+        labels[UNDECIDED] = "undecided"
+        dominant = [classify_outcomes(res, aset, red["threshold"], checkpoint=j) for j in range(len(res.times))]
+        rows = [(i, t, res.log_weights[i, j], *(np.abs(res.amps[i, j]) ** 2), labels[int(dominant[j][i])])
+                for i in range(n) for j, t in enumerate(res.times)]
+        p_cols = [f"p_{a + 1}" for a in range(res.dim)]
+        _reference_csv(out / "trajectories.csv", ["trajectory", "t", "log_weight", *p_cols, "dominant_outcome"], rows)
+        rep = born_frequencies(res, aset, psi0, red["threshold"], min_decided=red["min_decided"])
+        rows = [(lbl, rep.born[g], rep.frequency[g], rep.stderr[g], rep.n_eff, rep.undecided_fraction)
+                for g, lbl in enumerate(rep.labels)]
+        _reference_csv(out / "statistics.csv", ["outcome", "born_weight", "cooked_frequency", "stderr", "n_eff",
+                                                "undecided_fraction"], rows)
+        m = aset.num_ops
+        if kernel.family is KernelFamily.WHITE:
+            batch = sample_white_increments(grid, kernel.gamma, m, n, seed)
+        else:
+            batch = sample_paths(build_covariance(grid, kernel), m, n, seed)
+        rows = [(i, k, grid.nodes()[k], *batch.w[i, :, k], *batch.x[i, :, k])
+                for i in range(n) for k in range(batch.w.shape[2])]
+        names = [f"w_{i + 1}" for i in range(m)] + [f"x_{i + 1}" for i in range(m)]
+        _reference_csv(out / "paths.csv", ["trajectory", "k", "t_k", *names], rows)
+    elif task == "master":
+        (aset, psi0, h0), grid, kernel, ncp = args
+        rho0, cp = DensityMatrix(pure_density(psi0)), checkpoint_indices(grid, ncp)
+        if kernel.family is KernelFamily.WHITE:
+            path = evolve_lindblad_csl(h0, aset, rho0, grid, kernel.gamma, checkpoints=cp)
+        else:
+            path = evolve_colored_master(aset, rho0, grid, kernel, checkpoints=cp)
+        rows = [(t, a, b, path.rhos[j, a, b].real, path.rhos[j, a, b].imag, 0.0, 0.0)
+                for j, t in enumerate(path.times) for a in range(rho0.dim) for b in range(rho0.dim)]
+        _reference_csv(out / "density.csv", ["t", "i", "j", "re", "im", "stderr_re", "stderr_im"], rows)
+    elif task == "kernel-diag":
+        kernel, grid = args
+        rows = [(t, t - grid.t0,
+                 math.nan if kernel.family is KernelFamily.WHITE else kernel_eval(kernel, float(t), grid.t0),
+                 kernel_cumulative(kernel, float(t), grid.t0), kernel_double_integral(kernel, float(t), grid.t0))
+                for t in grid.nodes()]
+        _reference_csv(out / "kernel_diag.csv", ["t", "lag", "D", "G", "f"], rows)
+    elif task == "fn-check":
+        kernel, grid, ens, functionals = args
+        reps = [fn_validate(kernel, fn, grid, ens["trajectories"], ens["master_seed"]) for fn in functionals]
+        rows = [(r.kernel_family, r.functional, r.lhs, r.rhs, r.diff_stderr, r.sigmas) for r in reps]
+        _reference_csv(out / "fncheck.csv", ["kernel", "functional", "lhs", "rhs", "stderr", "sigmas"], rows)
+    else:
+        params, body, displacements, times = args
+        origin = np.zeros(3)
+        rows = [(dq, t, macro_damping_rate(body, [dq, 0.0, 0.0], origin, t, params),
+                 com_offdiag_decay(body, [dq, 0.0, 0.0], origin, [t], params)[0])
+                for dq in displacements for t in times]
+        _reference_csv(out / "macro_rate.csv", ["dQ", "t", "Gamma", "decay_factor"], rows)
+
+
+_WRITER_CASES = {
+    "colored-trajectories": traj_config(n=70, seed=4, workers=2, extra={
+        "system": {"dimension": 3, "eigenvalues": [[1.0, 0.0, -1.0], [0.5, 0.5, 0.0]],
+                   "initial_amplitudes": [0.6, [0.0, 0.6], 0.5]},
+        "kernel": {"family": "gaussian", "gamma": 0.9, "tau": 0.3},
+        "grid": {"t0": 0.0, "t1": 1.0, "steps": 20},
+        "reduction": {"threshold": 0.9, "min_decided": 0.0},
+    }),
+    "white-trajectories": traj_config(n=70, seed=4, extra={
+        "system": {"dimension": 2, "eigenvalues": [[1.0, -1.0]], "initial_amplitudes": [0.6, 0.8],
+                   "hamiltonian": [[0.0, [0.2, 0.1]], [[0.2, -0.1], 0.3]]},
+        "kernel": {"family": "white", "gamma": 0.7},
+        "grid": {"t0": 0.0, "t1": 1.0, "steps": 20},
+        "reduction": {"threshold": 0.9, "min_decided": 0.0},
+    }),
+    "white-master": {"task": "master", "system": traj_config()["system"], "kernel": {"family": "white", "gamma": 0.7},
+                     "grid": {"t0": 0.0, "t1": 1.0, "steps": 40}, "ensemble": {"checkpoints": 5}},
+    "colored-master": {"task": "master", "system": traj_config()["system"],
+                       "kernel": {"family": "exponential", "gamma": 0.7, "tau": 0.2},
+                       "grid": {"t0": 0.0, "t1": 1.0, "steps": 40}, "ensemble": {"checkpoints": 5}},
+    "white-kernel-diag": {"task": "kernel-diag", "kernel": {"family": "white", "gamma": 0.7},
+                          "grid": {"t0": 0.0, "t1": 1.0, "steps": 10}},
+    "gaussian-kernel-diag": {"task": "kernel-diag", "kernel": {"family": "gaussian", "gamma": 0.7, "tau": 0.2},
+                             "grid": {"t0": 0.0, "t1": 1.0, "steps": 10}},
+    "fn-check": {"task": "fn-check", "kernel": {"family": "exponential", "gamma": 0.8, "tau": 0.4},
+                 "grid": {"t0": 0.0, "t1": 1.0, "steps": 50}, "ensemble": {"trajectories": 300, "master_seed": 5}},
+    "macro-rate": {"task": "macro-rate", "macro": {"body": {"lattice_sites": 5, "spacing_cm": 2e-5},
+                   "displacements": [0.0, 1e-9, 3e-5], "times": [0.0, 1e-13, 1e12]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+def test_columnar_csvs_match_a_per_row_reference_writer(tmp_path, case):
+    cfg = copy.deepcopy(_WRITER_CASES[case])
+    if cfg["task"] == "trajectories":
+        cfg["ensemble"]["dump_paths"] = True
+    path = write_config(tmp_path, cfg)
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert main(["--config", path, "--out", str(out)]) == 0
+    ref.mkdir()
+    top, _, _, args = _plan(cfg, str(tmp_path))
+    _reference_artifacts(top["task"], args, ref)
+    written = sorted(p.name for p in out.glob("*.csv"))
+    assert written == sorted(p.name for p in ref.glob("*.csv"))
+    for name in written:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_malformed_body_rows_exit_2_naming_the_line(tmp_path, capsys):
+    # only the first non-empty row may be a header; a bad row after it is an
+    # error, even before the first good row
+    (tmp_path / "body.csv").write_text("i,qx,qy,qz\nfirst,a,b,c\n1,2,3\n4,5\n0,0.0,0.0,0.0\n1,1e-5,0.0,0.0\n")
+    cfg = {"task": "macro-rate", "macro": {"body": {"csv": "body.csv"}, "displacements": [1e-5], "times": [1.0]}}
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
+    # the line number counts blank lines; a header, blank lines and good rows load
+    (tmp_path / "gap.csv").write_text("i,qx,qy,qz\n\n1,2,3\n0,0,0,0\n")
+    with pytest.raises(ConfigError, match="line 3"):
+        MacroBody.from_csv(tmp_path / "gap.csv")
+    (tmp_path / "ok.csv").write_text("\ni,qx,qy,qz\n\n0,0,0,0\n1,1e-5,0,0\n")
+    assert MacroBody.from_csv(tmp_path / "ok.csv").num_constituents == 2

@@ -16,7 +16,7 @@ from collapsim import (
     smeared_density,
 )
 from collapsim.errors import ConfigError, InvalidInterval
-from collapsim.macrobody import SPEED_OF_LIGHT_CM_S
+from collapsim.macrobody import SPEED_OF_LIGHT_CM_S, _pair_bracket
 
 ORIGIN = np.zeros(3)
 
@@ -110,6 +110,31 @@ def test_damping_rate_over_an_array_of_times():
     for q in (dq, ORIGIN):
         with pytest.raises(InvalidInterval):
             macro_damping_rate(body, q, ORIGIN, [1.0e-13, p.t0 - 1.0e-20, 1.0], p)
+
+
+def test_decay_and_rate_share_one_bracket_per_displacement():
+    # the CLI's macro-rate asks for the decay and the rate at each dQ; the
+    # O(N^2) pair bracket is computed once for both, with unchanged values
+    p = MacroParams()
+    body = MacroBody.lattice(40, 2.0e-5)
+    times = [1.0e-13, 1.0e12]
+    cold = {}
+    for dq in (1.0e-5, 3.0e-5):
+        q1 = np.array([dq, 0.0, 0.0])
+        _pair_bracket.cache_clear()
+        decay = com_offdiag_decay(body, q1, ORIGIN, times, p)
+        _pair_bracket.cache_clear()
+        cold[dq] = decay, macro_damping_rate(body, q1, ORIGIN, times, p)
+    _pair_bracket.cache_clear()
+    for dq, (decay, rate) in cold.items():
+        q1 = np.array([dq, 0.0, 0.0])
+        assert np.array_equal(com_offdiag_decay(body, q1, ORIGIN, times, p), decay)
+        assert np.array_equal(macro_damping_rate(body, q1, ORIGIN, times, p), rate)
+    info = _pair_bracket.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+    # an equal but distinct body is another key
+    macro_damping_rate(MacroBody.lattice(40, 2.0e-5), np.array([3.0e-5, 0.0, 0.0]), ORIGIN, times, p)
+    assert _pair_bracket.cache_info().misses == 3
 
 
 def test_damping_rate_symmetry_and_positivity_random():
