@@ -23,9 +23,9 @@ errors, and |LHS - RHS| in units of the *paired* standard error (the two
 sides are evaluated on the same paths, so the honest error is that of the
 per-trajectory difference).
 
-The paths are drawn once per (kernel, grid, n, seed): the endpoint values
-x(t) and w(t) of the last draw are kept, so checking the menu's functionals
-one after another on one kernel object samples its paths once.
+The endpoint values x(t) and w(t) are drawn once per (kernel, grid, n, seed)
+and kept, so checking the menu's functionals one after another on one kernel
+object draws once; colored ones are z @ B.T at the last node, no path built.
 
 White noise keeps its discrete convention: w(t) at the final node is the
 average of the two adjacent step values (the grid is extended by one step to

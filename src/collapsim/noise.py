@@ -3,7 +3,9 @@
 Colored processes are represented by their values at the grid nodes, drawn
 jointly from the Cholesky factor of the discretized covariance
 C[k, l] = gamma * D(t_k, t_l); the integrated process x is the trapezoid
-cumulative of the node values.  White noise is represented by per-step
+cumulative of the node values.  A consumer that reads w and x only at a few
+nodes gets them as z @ B.T, B = [L[nodes]; T[nodes] @ L] (T the trapezoid
+rows), with no path built.  White noise is represented by per-step
 increment values w_k ~ N(0, gamma/dt) and x accumulates them left-endpoint
 (Ito grid); the Stratonovich correction is the solver's business.
 
@@ -19,10 +21,10 @@ Trajectory k of a run with master seed S draws its standard normals from
 i.e. a counter-based stream keyed bit-exactly by (master_seed, trajectory
 index).  ``child_generator`` is that definition; the samplers build one Philox
 per batch and re-key it to (S, k) for each row, which yields the same stream
-(Philox is counter-based).  The colored transform z @ L.T is a stacked
-product with one GEMM per row, so a row never depends on the batch it was
-drawn in.  Paths therefore depend only on (S, k), never on worker count,
-chunking, or scheduling order.
+(Philox is counter-based).  The colored transforms z @ L.T and z @ B.T are
+stacked products, one GEMM per row, so a row never depends on the batch it
+was drawn in: paths depend only on (S, k), never on worker count, chunking,
+or scheduling order.
 After a gather step, the ensemble estimators reduce the gathered array in a
 fixed trajectory-index order with numpy, so they are byte-identical at any
 worker count; the cooking statistics still use compensated summation
@@ -224,12 +226,11 @@ def sample_paths(
 ) -> NoiseBatch:
     """Draw n colored realizations with trajectory indices start_index + 0..n-1.
 
-    Row k is z_k @ L.T, z_k the normals of trajectory start_index + k.  With
-    ``nodes`` (grid node indices) it is z_k @ B.T, B = ``_projection(factor,
-    nodes)``: w and x at those nodes only, kind "projected", column j being
-    node nodes[j].  Either product is stacked, one GEMM per row, so a row
-    never depends on n or on how the ensemble is partitioned.  (A single
-    2-D GEMM over the whole batch would: its rounding changes with n.)
+    Row k is z_k @ L.T, z_k the normals of trajectory start_index + k, or with
+    ``nodes`` (grid node indices) z_k @ B.T, B = ``_projection(factor, nodes)``:
+    w and x at those nodes only, kind "projected", column j being node nodes[j].
+    Either product is stacked, one GEMM per row; a single 2-D GEMM over the
+    batch would not do, as its rounding changes with n.
     """
     z = _standard_normals((num_processes, factor.grid.num_nodes), n, master_seed, start_index)
     if nodes is not None:
