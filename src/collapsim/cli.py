@@ -4,7 +4,8 @@ One config file = one experiment.  Every block the task reads is checked
 against one schema (unknown keys are rejected) before anything is written, a
 manifest is written before any result file so partial runs are detectable,
 and every artifact is a CSV with a fixed documented header.  Identical
-config + seed gives byte-identical CSVs regardless of worker count.
+config + seed gives byte-identical CSVs.  ``ensemble.workers`` and ``--workers``
+are validated and change nothing: every run uses one worker.
 
 Exit status: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -63,7 +64,7 @@ _SCHEMA = {
         "hamiltonian": ([["complex"]], None, None),
     },
     "kernel": {
-        "family": ("str", _REQUIRED, None), "gamma": ("float", _REQUIRED, None),
+        "family": (tuple(f.value for f in KernelFamily), _REQUIRED, None), "gamma": ("float", _REQUIRED, None),
         "tau": ("float", None, None), "table_path": ("str", None, None),
     },
     "grid": {"t0": ("float", _REQUIRED, None), "t1": ("float", _REQUIRED, None), "steps": ("int", _REQUIRED, 1)},
@@ -248,7 +249,7 @@ def _run_trajectories(out_dir, system, grid, kernel, ens, red):
     n, seed, threshold = ens["trajectories"], ens["master_seed"], red["threshold"]
     result = simulate_ensemble(
         aset, psi0, grid, kernel, n, seed, h0=h0, method="auto",
-        checkpoints=checkpoint_indices(grid, ens["checkpoints"]), workers=ens["workers"],
+        checkpoints=checkpoint_indices(grid, ens["checkpoints"]),
     )
     labels = {g: grp.label for g, grp in enumerate(aset.outcome_groups())}
     labels[UNDECIDED] = "undecided"
@@ -396,7 +397,7 @@ def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
         "status": "started",
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
         "master_seed": ens.get("master_seed"),
-        "workers": ens.get("workers", 1),
+        "workers": 1,  # the worker count the run used, whatever ensemble.workers says
         "versions": {
             "collapsim": __version__,
             "numpy": np.__version__,
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--workers", type=int, default=None, help="worker count override")
+    parser.add_argument("--workers", type=int, default=None, help="validated like ensemble.workers; changes nothing")
     parser.add_argument("--seed", type=int, default=None, help="master seed override (u64)")
     args = parser.parse_args(argv)
     try:

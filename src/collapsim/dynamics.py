@@ -35,7 +35,6 @@ when exponents reach +-1e3.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,7 +64,7 @@ __all__ = [
 ]
 
 COMMUTATION_TOL = 1.0e-10
-CHUNK = 512  # fixed ensemble chunk; never depends on worker count
+CHUNK = 512  # trajectories per chunk, run one after another; ``workers`` changes nothing
 METHODS = ("trotter_white", "exact_commuting", "raw_linear")
 
 
@@ -209,13 +208,6 @@ def _f_values(kernel: CorrelationKernel, times, t0: float) -> np.ndarray:
     return np.array([kernel.gamma * kernel_double_integral(kernel, float(t), t0) for t in times])
 
 
-def _checkpoint_unitaries(h0, times, t0):
-    evals, vecs = np.linalg.eigh(h0)
-    return [
-        (vecs * np.exp(-1j * evals * (float(t) - t0))) @ vecs.conj().T for t in times
-    ]
-
-
 def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
     """Resolve a solver once: returns (method, psi0, cp_idx, chunk).
 
@@ -240,7 +232,7 @@ def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
         energies_u = None
         if h0 is not None:
             _require_commuting(h0, aset)
-            energies_u = _checkpoint_unitaries(h0, times, grid.t0)
+            energies_u = [_unitary(h0, float(t) - grid.t0) for t in times]
         f_cp = _f_values(kernel, times, grid.t0)
 
         def chunk(kind, w, x_cp):
@@ -416,8 +408,8 @@ def simulate_ensemble(
     method: "trotter_white" (white kernel, any H0), "exact_commuting" (any
     kernel, commuting or absent H0), or "raw_linear" (uncompensated).
     "auto" picks trotter_white for white kernels and exact_commuting
-    otherwise.  Chunk boundaries are fixed, so results are byte-identical
-    for any ``workers``.
+    otherwise.  Chunks of ``CHUNK`` trajectories run one after another;
+    ``workers`` is accepted and changes nothing.
     """
     if n < 1:
         raise ConfigError(f"ensemble needs n >= 1 trajectories, got {n}")
@@ -434,23 +426,15 @@ def simulate_ensemble(
     logw = np.empty((n, len(cp_idx)))
     x_out = np.empty((n, m, len(cp_idx)))
 
-    def run_chunk(lo: int, hi: int):
-        count = hi - lo
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
         if is_white:
-            batch = sample_white_increments(grid, kernel.gamma, m, count, master_seed, start_index + lo)
+            batch = sample_white_increments(grid, kernel.gamma, m, hi - lo, master_seed, start_index + lo)
         else:
-            batch = sample_paths(factor, m, count, master_seed, start_index + lo, nodes=nodes)
+            batch = sample_paths(factor, m, hi - lo, master_seed, start_index + lo, nodes=nodes)
         x_cp = batch.x if nodes is not None else batch.x[:, :, cp_idx]
         amps[lo:hi], logw[lo:hi] = chunk(batch.kind, batch.w, x_cp)
         x_out[lo:hi] = x_cp
-
-    bounds = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        for b in bounds:
-            run_chunk(*b)
 
     return EnsembleResult(
         grid, cp_idx, grid.nodes()[cp_idx], amps, logw, x_out, master_seed, method, start_index

@@ -59,13 +59,6 @@ from .noise import (
 __all__ = ["FnReport", "fn_validate", "FN_FUNCTIONALS"]
 
 FN_FUNCTIONALS = ("constant", "linear_x", "exp_x")
-_ALIASES = {
-    "constant": "constant",
-    "linearx": "linear_x",
-    "linear_x": "linear_x",
-    "expx": "exp_x",
-    "exp_x": "exp_x",
-}
 
 _CHUNK = 1024
 
@@ -84,14 +77,6 @@ class FnReport:
     diff_stderr: float  # paired standard error of (F w - gamma G dF)
     sigmas: float  # |LHS - RHS| / diff_stderr
     rhs_analytic: float  # closed-form value of both sides
-
-
-def _normalize_functional(functional: str) -> str:
-    key = str(functional).replace("-", "_").lower()
-    name = _ALIASES.get(key) or _ALIASES.get(key.replace("_", ""))
-    if name is None:
-        raise UnknownFunctional(f"unknown functional {functional!r}; pick from {FN_FUNCTIONALS}")
-    return name
 
 
 def _analytic_rhs(name: str, gamma: float, g_val: float, f_val: float) -> float:
@@ -117,12 +102,13 @@ def fn_validate(
     """
     if n < 2:
         raise ConfigError("fn_validate needs n >= 2 samples")
-    name = _normalize_functional(functional)
+    if functional not in FN_FUNCTIONALS:
+        raise UnknownFunctional(f"unknown functional {functional!r}; pick from {FN_FUNCTIONALS}")
     gamma = kernel.gamma
     g_val = kernel_cumulative(kernel, grid.t1, grid.t0)
     f_val = kernel_double_integral(kernel, grid.t1, grid.t0)
     x_t, w_end = _endpoints(kernel, grid, n, master_seed)
-    f_vals, df_vals = _functional_values(name, x_t)
+    f_vals, df_vals = _functional_values(functional, x_t)
 
     lhs_samples = f_vals * w_end
     rhs_samples = (gamma * g_val) * df_vals
@@ -136,7 +122,7 @@ def fn_validate(
     sigmas = abs(diff_mean) / diff_err if diff_err > 0 else (0.0 if diff_mean == 0 else math.inf)
     return FnReport(
         kernel_family=kernel.family.value,
-        functional=name,
+        functional=functional,
         n=n,
         lhs=lhs,
         lhs_stderr=lhs_err,
@@ -144,7 +130,7 @@ def fn_validate(
         rhs_stderr=rhs_err,
         diff_stderr=diff_err,
         sigmas=sigmas,
-        rhs_analytic=_analytic_rhs(name, gamma, g_val, f_val),
+        rhs_analytic=_analytic_rhs(functional, gamma, g_val, f_val),
     )
 
 

@@ -48,7 +48,6 @@ class CommutingSet:
     """
 
     table: np.ndarray
-    basis_labels: tuple = ()
 
     def __post_init__(self):
         table = np.atleast_2d(np.asarray(self.table, dtype=float))
@@ -57,12 +56,6 @@ class CommutingSet:
         if not np.all(np.isfinite(table)):
             raise ConfigError("eigenvalue table must be finite")
         object.__setattr__(self, "table", table)
-        if not self.basis_labels:
-            object.__setattr__(
-                self, "basis_labels", tuple(str(i) for i in range(table.shape[1]))
-            )
-        elif len(self.basis_labels) != table.shape[1]:
-            raise ConfigError("basis_labels length must match dimension")
 
     @property
     def num_ops(self) -> int:
@@ -71,9 +64,6 @@ class CommutingSet:
     @property
     def dim(self) -> int:
         return self.table.shape[1]
-
-    def operator_matrix(self, i: int) -> np.ndarray:
-        return np.diag(self.table[i].astype(np.complex128))
 
     def pairwise_gap_sq(self) -> np.ndarray:
         """W[a, b] = sum_i (a_ia - a_ib)^2, the double-commutator weight matrix."""
@@ -90,13 +80,6 @@ class CommutingSet:
         for key, idx in groups.items():
             label = "(" + ", ".join(repr(v) for v in key) + ")"
             out.append(OutcomeGroup(key, np.asarray(idx, dtype=int), label))
-        return out
-
-    def group_of_basis(self) -> np.ndarray:
-        """For each basis state, the index of its outcome group."""
-        out = np.empty(self.dim, dtype=int)
-        for g, grp in enumerate(self.outcome_groups()):
-            out[grp.indices] = g
         return out
 
 
@@ -143,21 +126,16 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.rho.shape[0]
 
-    def validate(
-        self,
-        hermiticity_tol: float = HERMITICITY_TOL,
-        trace_tol: float = TRACE_TOL,
-        eigenvalue_floor: float = EIGENVALUE_FLOOR,
-    ) -> None:
+    def validate(self) -> None:
         """Raise ConfigError unless Hermitian, unit trace, and nearly PSD."""
         h_err = float(np.max(np.abs(self.rho - self.rho.conj().T)))
-        if h_err > hermiticity_tol:
+        if h_err > HERMITICITY_TOL:
             raise ConfigError(f"density matrix not Hermitian: max dev {h_err:.2e}")
         tr_err = abs(float(np.trace(self.rho).real) - 1.0)
-        if tr_err > trace_tol or abs(float(np.trace(self.rho).imag)) > trace_tol:
+        if tr_err > TRACE_TOL or abs(float(np.trace(self.rho).imag)) > TRACE_TOL:
             raise ConfigError(f"density matrix trace off unity by {tr_err:.2e}")
         eigs = np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))
-        if float(eigs.min()) < eigenvalue_floor:
+        if float(eigs.min()) < EIGENVALUE_FLOOR:
             raise ConfigError(f"density matrix eigenvalue {eigs.min():.2e} below floor")
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +51,6 @@ __all__ = [
     "kernel_double_integral",
     "divergence_check",
 ]
-
-# Eigenvalue floor used by the PSD invariant: min eig >= -EPS_PSD * max(diag).
-EPS_PSD = 1.0e-10
-
 
 class KernelFamily(enum.Enum):
     WHITE = "white"
@@ -125,51 +122,52 @@ def tabulated_kernel(gamma: float, lags, values) -> CorrelationKernel:
     )
 
 
-def load_kernel_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column CSV (lag, D); a one-time header row is tolerated."""
-    lags, vals = [], []
+def _numeric_rows(path, ncols: int) -> np.ndarray:
+    """The (rows, ncols) numbers of a CSV file; only the first non-empty row may be a header.
+
+    Any later row that is not exactly ``ncols`` numbers raises ConfigError
+    naming the file and its line.  Shared by the kernel-table and body loaders.
+    """
+    rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
+        reader = csv.reader(fh)
+        for seen, row in enumerate(filter(None, reader)):
             try:
-                lag, val = float(row[0]), float(row[1])
+                values = [float(v) for v in row]
             except ValueError:
-                if not lags:  # header line
+                if not seen:  # the header
                     continue
-                raise ConfigError(f"bad kernel table row: {row!r}")
-            lags.append(lag)
-            vals.append(val)
-    if len(lags) < 2:
+                values = []
+            if len(values) != ncols:
+                raise ConfigError(f"{path} line {reader.line_num}: need {ncols} numbers, got {row!r}")
+            rows.append(values)
+    return np.array(rows, dtype=float).reshape(-1, ncols)
+
+
+def load_kernel_table(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a two-column CSV (lag, D) with an optional header row."""
+    table = _numeric_rows(path, 2)
+    if len(table) < 2:
         raise ConfigError(f"kernel table {path} has fewer than 2 rows")
-    return np.asarray(lags), np.asarray(vals)
+    return table[:, 0], table[:, 1]
 
 
 def kernel_from_config(block: dict, base_dir=None) -> CorrelationKernel:
-    """Build a kernel from a run-config block {family, gamma, tau?, table_path?}."""
+    """Build a kernel from a run-config block {family, gamma, tau?, table_path?}, values as given."""
     try:
-        family = KernelFamily(str(block["family"]).lower())
+        family = KernelFamily(block["family"])
     except (KeyError, ValueError):
         raise ConfigError(f"unknown kernel family in {block!r}")
     gamma = block.get("gamma")
     if gamma is None:
         raise ConfigError("kernel block needs gamma")
-    if family is KernelFamily.WHITE:
-        return white_kernel(float(gamma))
     if family is KernelFamily.TABULATED:
         path = block.get("table_path")
         if path is None:
             raise ConfigError("tabulated kernel needs table_path")
-        if base_dir is not None:
-            import os
-
-            path = os.path.join(base_dir, path) if not os.path.isabs(path) else path
-        lags, vals = load_kernel_table(path)
-        return tabulated_kernel(float(gamma), lags, vals)
-    tau = block.get("tau")
-    if tau is None:
-        raise ConfigError(f"{family.value} kernel needs tau")
-    return CorrelationKernel(family, float(gamma), float(tau))
+        lags, vals = load_kernel_table(os.path.join(base_dir or "", path))
+        return tabulated_kernel(gamma, lags, vals)
+    return CorrelationKernel(family, gamma, block.get("tau"))
 
 
 # ---------------------------------------------------------------------------

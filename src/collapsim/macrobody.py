@@ -24,7 +24,6 @@ which is the linear-in-N amplification of the damping rate.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidInterval
+from .kernels import _numeric_rows
 
 __all__ = [
     "SPEED_OF_LIGHT_CM_S",
@@ -107,18 +107,10 @@ class MacroBody:
     @classmethod
     def from_csv(cls, path) -> "MacroBody":
         """Load (i, qx, qy, qz) rows; the index column is ignored, a header row allowed."""
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for seen, row in enumerate(filter(None, reader)):
-                try:
-                    rows.append([float(row[1]), float(row[2]), float(row[3])])
-                except (ValueError, IndexError):
-                    if seen:  # only the first non-empty row may be a header
-                        raise ConfigError(f"body file {path} line {reader.line_num}: bad row {row!r}")
-        if not rows:
+        rows = _numeric_rows(path, 4)
+        if not len(rows):
             raise ConfigError(f"body file {path} holds no constituents")
-        return cls(np.asarray(rows))
+        return cls(rows[:, 1:])
 
 
 def _gamma_ratio(params: MacroParams, t: float) -> float:
@@ -153,17 +145,22 @@ def smeared_density(body: MacroBody, q: np.ndarray, x: np.ndarray, params: Macro
 def _pair_bracket(body: MacroBody, q1: tuple, q2: tuple, alpha: float) -> float:
     """sum_ij [e^{-(alpha/4)(qi-qj)^2} - e^{-(alpha/4)(dq+qi-qj)^2}], dq = q1 - q2, 0 at dq = 0.
 
-    Cached (the key is the ``eq=False`` body object itself), so the decay and
-    the rate at one displacement compute it once.
+    With k = alpha/4, r = qi - qj, s = r + dq and c = s^2 - r^2 = 2 r.dq + dq^2,
+    each term is -e^{-k r^2} expm1(-k c), or e^{-k s^2} expm1(k c) where the
+    shifted exponential is the larger by e or more, so it keeps its digits
+    as dq -> 0 and never overflows.  Cached (the key is the ``eq=False`` body
+    object itself), so the decay and the rate at one displacement compute it once.
     """
     dq = np.asarray(q1, dtype=float) - np.asarray(q2, dtype=float)
     if np.all(dq == 0.0):
         return 0.0
     off = body.offsets
     rel = off[:, None, :] - off[None, :, :]  # (N, N, 3)
-    same = np.exp(-(alpha / 4.0) * np.sum(rel**2, axis=-1))
-    shifted = np.exp(-(alpha / 4.0) * np.sum((rel + dq) ** 2, axis=-1))
-    return float(np.sum(same) - np.sum(shifted))
+    r2, s2 = np.sum(rel**2, axis=-1), np.sum((rel + dq) ** 2, axis=-1)
+    kc = (alpha / 4.0) * (2.0 * (rel @ dq) + dq @ dq)  # k (s^2 - r^2) with no cancellation
+    shifted = kc < -1.0
+    sign = np.where(shifted, -1.0, 1.0)
+    return float(-np.sum(sign * np.exp(-(alpha / 4.0) * np.where(shifted, s2, r2)) * np.expm1(-sign * kc)))
 
 
 def macro_damping_rate(

@@ -46,9 +46,6 @@ class DensityPath:
     stderr_re: np.ndarray | None = None
     stderr_im: np.ndarray | None = None
 
-    def offdiag(self, a: int, b: int) -> np.ndarray:
-        return self.rhos[:, a, b]
-
 
 def _rk4_density(rho0, grid, rhs, cp_idx):
     rho = np.array(rho0, dtype=np.complex128)
@@ -167,8 +164,8 @@ def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> Densit
     Standard errors come from batch means over trajectory-index batches
     (weights correlate with states, so per-sample variances would lie).
     Each checkpoint is reduced over the gathered array in a fixed
-    trajectory-index order by numpy, so the result is byte-identical at any
-    worker count.
+    trajectory-index order by numpy.  Ensembles run on one worker; a
+    ``workers`` value is validated and changes nothing.
     """
     if mode not in ("raw", "cooked"):
         raise ConfigError(f"mode must be 'raw' or 'cooked', got {mode!r}")

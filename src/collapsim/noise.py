@@ -23,11 +23,10 @@ index).  ``child_generator`` is that definition; the samplers build one Philox
 per batch and re-key it to (S, k) for each row, which yields the same stream
 (Philox is counter-based).  The colored transforms z @ L.T and z @ B.T are
 stacked products, one GEMM per row, so a row never depends on the batch it
-was drawn in: paths depend only on (S, k), never on worker count, chunking,
-or scheduling order.
-After a gather step, the ensemble estimators reduce the gathered array in a
-fixed trajectory-index order with numpy, so they are byte-identical at any
-worker count; the cooking statistics still use compensated summation
+was drawn in: paths depend only on (S, k), never on chunking.  Ensembles run
+on one worker; a ``workers`` value is validated and changes nothing.  The
+ensemble estimators reduce the gathered array in a fixed trajectory-index
+order with numpy; the cooking statistics still use compensated summation
 (fsum_ordered) in that order.
 """
 

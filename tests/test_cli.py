@@ -300,6 +300,7 @@ def test_float_keys_reject_non_numbers(tmp_path, capsys, case, value):
         (macro_config, "macro.times", ["a"]),
         (macro_config, "macro.body.lattice_sites", -3),
         (macro_config, "macro.body", None),
+        (traj_config, "kernel.family", "Exponential"),
     ],
 )
 def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, base, where, value):
@@ -366,6 +367,8 @@ def test_rerun_and_worker_count_byte_identical(tmp_path):
     for out in outs[1:]:
         assert (out / "trajectories.csv").read_bytes() == ref_traj
         assert (out / "statistics.csv").read_bytes() == ref_stat
+    # the manifest records the worker count the run used, not the one asked for
+    assert json.loads((outs[2] / "manifest.json").read_text())["workers"] == 1
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -504,6 +507,20 @@ def test_env_output_root(tmp_path, monkeypatch):
     cfg.pop("output")
     assert main(["--config", write_config(tmp_path, cfg, "c2.json")]) == 0
     assert (tmp_path / "root" / "kernel-diag" / "kernel_diag.csv").exists()
+
+
+def test_malformed_kernel_table_exits_2_writing_nothing(tmp_path, capsys):
+    # a text row after the header, then a three-column and a one-column row
+    (tmp_path / "table.csv").write_text("lag,D\nfoo,bar\n1,2,3\n0,1\n0.5\n1.0,0.2\n")
+    cfg = {
+        "task": "kernel-diag",
+        "kernel": {"family": "tabulated", "gamma": 1.0, "table_path": "table.csv"},
+        "grid": {"t0": 0.0, "t1": 1.0, "steps": 4},
+    }
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "table.csv line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tabulated_kernel_path_relative_to_config(tmp_path):

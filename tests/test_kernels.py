@@ -300,6 +300,8 @@ def test_kernel_from_config_rejects_garbage(tmp_path):
     with pytest.raises(ConfigError):
         kernel_from_config({"family": "mauve", "gamma": 1.0})
     with pytest.raises(ConfigError):
+        kernel_from_config({"family": "Exponential", "gamma": 1.0, "tau": 1.0})  # names are exact
+    with pytest.raises(ConfigError):
         kernel_from_config({"family": "gaussian", "gamma": 1.0})  # no tau
     with pytest.raises(ConfigError):
         kernel_from_config({"family": "gaussian", "gamma": -1.0, "tau": 1.0})
@@ -314,3 +316,24 @@ def test_load_kernel_table_roundtrip(tmp_path):
     path.write_text("0.0,1.0\n1.0,0.25\n")
     lags, vals = load_kernel_table(path)
     assert lags.tolist() == [0.0, 1.0] and vals.tolist() == [1.0, 0.25]
+    # one header row, as the first non-empty row, and blank lines anywhere
+    path.write_text("\nlag,D\n\n0.0,1.0\n1.0,0.25\n\n")
+    lags, vals = load_kernel_table(path)
+    assert lags.tolist() == [0.0, 1.0] and vals.tolist() == [1.0, 0.25]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("lag,D\nfoo,bar\n0.0,1.0\n1.0,0.2\n", 2),  # a second text row is not a header
+        ("lag,D\n0.0,1.0\n0.5\n1.0,0.2\n", 3),  # one column
+        ("0.0,1.0\n\n0.5,0.3,9\n1.0,0.2\n", 3),  # three columns; blank lines count
+        ("0.0,1.0\n0.5,x\n1.0,0.2\n", 2),  # a non-number after the first row
+    ],
+    ids=["second-text-row", "one-column", "three-columns", "non-number"],
+)
+def test_load_kernel_table_rejects_bad_rows_naming_the_line(tmp_path, text, line):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"t.csv line {line}:"):
+        load_kernel_table(path)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -110,6 +111,23 @@ def test_damping_rate_over_an_array_of_times():
     for q in (dq, ORIGIN):
         with pytest.raises(InvalidInterval):
             macro_damping_rate(body, q, ORIGIN, [1.0e-13, p.t0 - 1.0e-20, 1.0], p)
+
+
+@pytest.mark.parametrize("dq", [1.0e-9, 1.0e-8])
+def test_small_displacement_rate_matches_40_digit_bracket(dq):
+    # same - shifted cancels as dq -> 0; the summed bracket keeps its digits
+    p = MacroParams()
+    body = MacroBody.lattice(30, 2.0e-5)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(p.alpha) / 4
+        xs = [mpmath.mpf(v) for v in body.offsets[:, 0].tolist()]
+        d = mpmath.mpf(dq)
+        bracket = mpmath.fsum(
+            mpmath.exp(-a * (xi - xj) ** 2) - mpmath.exp(-a * (d + xi - xj) ** 2) for xi in xs for xj in xs
+        )
+        want = float(mpmath.mpf(p.lam) * bracket)  # gamma(t)/gamma = 1 at t = 1 s
+    rate = macro_damping_rate(body, np.array([dq, 0.0, 0.0]), ORIGIN, 1.0, p)
+    assert rate == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_decay_and_rate_share_one_bracket_per_displacement():

@@ -73,7 +73,7 @@ def test_colored_master_exponential_rate_factor(two_state, rho_born):
     kernel = exponential_kernel(1.0, 0.4)
     grid = TimeGrid(0.0, 0.9, 900)
     path = evolve_colored_master(two_state, rho_born, grid, kernel)
-    vals = path.offdiag(0, 1).real
+    vals = path.rhos[:, 0, 1].real
     for target_t in (0.2, 0.4, 0.8):
         j = int(np.argmin(np.abs(path.times - target_t)))
         t = path.times
@@ -298,8 +298,8 @@ def test_decay_report_and_rate_fit(two_state, psi_born):
     est = ensemble_to_density(res, "raw")
     rho01 = psi_born[0] * psi_born[1]
     analytic = [offdiag_analytic(two_state, kernel, 0, 1, float(t), 0.0) * rho01 for t in est.times]
-    assert np.allclose(analytic, est.offdiag(0, 1).real, rtol=1e-10)
-    rate = fit_exponential_rate(est.times, est.offdiag(0, 1).real)
+    assert np.allclose(analytic, est.rhos[:, 0, 1].real, rtol=1e-10)
+    rate = fit_exponential_rate(est.times, est.rhos[:, 0, 1].real)
     assert rate == pytest.approx(2.0 * 0.5, rel=1e-9)
 
 
