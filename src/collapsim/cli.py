@@ -1,8 +1,9 @@
 """Configuration-driven command line entry point.
 
 One config file = one experiment.  Every block the task reads is checked
-against one schema (unknown keys are rejected) before anything is written, a
-manifest is written before any result file so partial runs are detectable,
+against one schema (unknown keys are rejected), and by the library's own rule
+functions, before anything is written; a manifest is written before any
+result file so partial runs are detectable,
 and every artifact is a CSV with a fixed documented header.  Identical
 config + seed gives byte-identical CSVs.  ``ensemble.workers`` and ``--workers``
 are validated and change nothing: every run uses one worker.
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CollapsimError, ConfigError
-from .hilbert import CommutingSet, DensityMatrix, pure_density
+from .hilbert import CommutingSet, DensityMatrix, initial_state, pure_density, require_commuting, validate_hamiltonian
 from .kernels import (
     KernelFamily,
     kernel_cumulative,
@@ -33,13 +34,13 @@ from .kernels import (
     kernel_from_config,
 )
 from .macrobody import (
-    DEFAULT_ALPHA, DEFAULT_LAMBDA, MacroBody, MacroParams, com_offdiag_decay, macro_damping_rate,
+    DEFAULT_ALPHA, DEFAULT_LAMBDA, MacroBody, MacroParams, com_offdiag_decay, macro_damping_rate, require_after_t0,
 )
 from .master import evolve_colored_master, evolve_lindblad_csl
 from .noise import TimeGrid, checkpoint_indices, sample_paths, sample_white_increments, build_covariance
 from .dynamics import simulate_ensemble
-from .fncheck import FN_FUNCTIONALS, fn_validate
-from .reduction import UNDECIDED, born_frequencies, classify_outcomes
+from .fncheck import FN_FUNCTIONALS, fn_validate, require_samples
+from .reduction import UNDECIDED, born_frequencies, classify_outcomes, require_threshold
 
 TASKS = ("trajectories", "master", "fn-check", "macro-rate", "kernel-diag")
 
@@ -156,19 +157,9 @@ def _parse_system(raw):
     if any(len(row) != d for row in rows):
         raise ConfigError(f"system.eigenvalues rows must have length {d}")
     aset = CommutingSet(rows)
-    if len(amps) != d:
-        raise ConfigError(f"system.initial_amplitudes must have length {d}")
-    psi0 = np.array(amps, dtype=complex)
-    nrm = np.linalg.norm(psi0)
-    if nrm == 0.0:
-        raise ConfigError("initial state must be nonzero")
-    psi0 = psi0 / nrm
+    psi0 = initial_state(amps, d, "system.initial_amplitudes")
     if h0 is not None:
-        if len(h0) != d or any(len(row) != d for row in h0):
-            raise ConfigError(f"system.hamiltonian must be {d}x{d}")
-        h0 = np.array(h0, dtype=complex)
-        if np.max(np.abs(h0 - h0.conj().T)) > 1.0e-12:
-            raise ConfigError("system.hamiltonian must be Hermitian")
+        h0 = validate_hamiltonian(h0, d, "system.hamiltonian")
     return aset, psi0, h0
 
 
@@ -184,6 +175,7 @@ def _parse_macro(raw, base_dir):
         body = MacroBody.lattice(body["lattice_sites"], body["spacing_cm"])
     if not macro["displacements"] or not macro["times"]:
         raise ConfigError("macro.displacements and macro.times must be non-empty")
+    require_after_t0(macro["times"], params.t0, "macro.times")
     return params, body, macro["displacements"], macro["times"]
 
 
@@ -355,8 +347,8 @@ def _plan(cfg, base_dir, seed=None, workers=None):
         ens = _block(ens, "ensemble", required=task != "master")
         if ens["master_seed"] is not None and ens["master_seed"] >= 2**64:
             raise ConfigError("ensemble.master_seed must fit in an unsigned 64-bit integer")
-        if task == "fn-check" and ens["trajectories"] < 2:
-            raise ConfigError("fn-check needs ensemble.trajectories >= 2")
+        if task == "fn-check":
+            require_samples(ens["trajectories"], "ensemble.trajectories")
     if task == "macro-rate":
         return top, ens, _run_macro_rate, _parse_macro(top["macro"], base_dir)
     kernel = kernel_from_config(_block(top["kernel"], "kernel"), base_dir=base_dir)
@@ -372,9 +364,10 @@ def _plan(cfg, base_dir, seed=None, workers=None):
         if kernel.family is not KernelFamily.WHITE and system[2] is not None and np.any(system[2]):
             raise ConfigError("the colored master equation is defined with H0 absent")
         return top, ens, _run_master, (system, grid, kernel, ens["checkpoints"])
+    if kernel.family is not KernelFamily.WHITE and system[2] is not None:
+        require_commuting(system[2], system[0], "system.hamiltonian")
     red = _block(top["reduction"], "reduction")
-    if not 0.5 < red["threshold"] <= 1.0:
-        raise ConfigError(f"reduction.threshold must lie in (0.5, 1], got {red['threshold']!r}")
+    require_threshold(red["threshold"], "reduction.threshold")
     return top, ens, _run_trajectories, (system, grid, kernel, ens, red)
 
 

@@ -18,8 +18,8 @@ numerics; ``simulate_ensemble`` selects one through its ``method``:
   that the mean squared norm drifts, which is what motivates the
   compensating term.
 
-Every solver decision (psi0 preparation, default checkpoints, H0 validation,
-the commutation check) is made once in ``_solver``.  Noise comes in as a
+Every solver decision (default checkpoints, and the ``hilbert`` checks of
+psi0, H0 and commutation) is made once in ``_solver``.  Noise comes in as a
 ``NoiseBatch`` and results go out as an ``EnsembleResult``, one row per
 trajectory: ``evolve_csl_white`` and ``evolve_colored_commuting`` take a
 batch of one and return a one-row result from the same solver chunk.
@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonCommuting, ZeroNorm
-from .hilbert import CommutingSet, commutation_check, validate_hamiltonian
+from .errors import ConfigError, ZeroNorm
+from .hilbert import CommutingSet, initial_state, require_commuting, validate_hamiltonian
 from .kernels import CorrelationKernel, KernelFamily, kernel_double_integral
 from .noise import (
     NoiseBatch,
@@ -63,7 +63,6 @@ __all__ = [
     "simulate_ensemble",
 ]
 
-COMMUTATION_TOL = 1.0e-10
 CHUNK = 512  # trajectories per chunk, run one after another; ``workers`` changes nothing
 METHODS = ("trotter_white", "exact_commuting", "raw_linear")
 
@@ -108,24 +107,6 @@ def _normalize_rows(psi: np.ndarray, offsets: np.ndarray) -> None:
         raise ZeroNorm("trajectory mantissa collapsed to zero")
     psi /= norms[:, None]
     offsets += np.log(norms)
-
-
-def _prepare_psi0(psi0) -> np.ndarray:
-    psi0 = np.asarray(psi0, dtype=np.complex128).ravel()
-    n = np.linalg.norm(psi0)
-    if n == 0.0:
-        raise ZeroNorm("initial state has zero norm")
-    return psi0 / n
-
-
-def _require_commuting(h0: np.ndarray, aset: CommutingSet) -> None:
-    worst = commutation_check(h0, aset)
-    if worst > COMMUTATION_TOL:
-        raise NonCommuting(
-            f"H0 does not commute with the preferred basis (max dev {worst:.2e}); "
-            "colored noise with a non-commuting Hamiltonian has no closed solver: "
-            "drop H0 or make it commute with the eigenvalue table"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +190,7 @@ def _f_values(kernel: CorrelationKernel, times, t0: float) -> np.ndarray:
 
 
 def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
-    """Resolve a solver once: returns (method, psi0, cp_idx, chunk).
+    """Resolve a solver once: returns (method, cp_idx, chunk).
 
     ``chunk(kind, w, x_cp)`` maps a noise batch -- w (nc, m, steps or nodes)
     of the given kind and x_cp (nc, m, ncp) -- to (amps, log weights).
@@ -222,23 +203,23 @@ def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
         raise ConfigError(f"unknown solver method {method!r}; pick from {METHODS}")
     if method == "trotter_white" and kernel is not None and kernel.family is not KernelFamily.WHITE:
         raise ConfigError("trotter_white requires a white kernel")
-    psi0 = _prepare_psi0(psi0)
+    psi0 = initial_state(psi0, aset.dim)
     cp_idx = checkpoint_indices(grid, 50) if checkpoints is None else np.asarray(checkpoints)
     if h0 is not None:
-        h0 = validate_hamiltonian(h0, psi0.size)
+        h0 = validate_hamiltonian(h0, aset.dim)
 
     if method == "exact_commuting":
         times = grid.nodes()[cp_idx]
         energies_u = None
         if h0 is not None:
-            _require_commuting(h0, aset)
+            require_commuting(h0, aset)
             energies_u = [_unitary(h0, float(t) - grid.t0) for t in times]
         f_cp = _f_values(kernel, times, grid.t0)
 
         def chunk(kind, w, x_cp):
             return _exact_commuting_chunk(aset, psi0, x_cp, f_cp, energies_u)
 
-        return method, psi0, cp_idx, chunk
+        return method, cp_idx, chunk
 
     u_half = _unitary(h0, 0.5 * grid.dt)
     comp = gamma * np.sum(aset.table**2, axis=0) * grid.dt if method == "trotter_white" else 0.0
@@ -249,14 +230,14 @@ def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
         drive = w if kind == "increments" else 0.5 * (w[..., :-1] + w[..., 1:])
         return _stepped_chunk(aset, psi0, grid, drive, cp_idx, u_half, comp)
 
-    return method, psi0, cp_idx, chunk
+    return method, cp_idx, chunk
 
 
 def _single(method, aset, psi0, grid, h0, checkpoints, gamma, kernel, realization):
     if len(realization) != 1 or realization.kind == "projected":
         got = f"{len(realization)} {realization.kind} rows"
         raise ConfigError(f"a single trajectory needs a batch of one with full paths, got {got}")
-    method, _, cp_idx, chunk = _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel)
+    method, cp_idx, chunk = _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel)
     x_cp = realization.x[:, :, cp_idx]
     amps, logw = chunk(realization.kind, realization.w, x_cp)
     return EnsembleResult(
@@ -360,7 +341,7 @@ def functional_derivative_probe(
     Bumps strictly beyond the evaluation time must produce the zero vector.
     """
     if h0 is not None:
-        _require_commuting(np.asarray(h0, complex), aset)
+        require_commuting(h0, aset)
     eval_index = grid.steps if eval_index is None else int(eval_index)
     cp = np.array([0, eval_index]) if eval_index != 0 else np.array([0])
 
@@ -413,7 +394,7 @@ def simulate_ensemble(
     """
     if n < 1:
         raise ConfigError(f"ensemble needs n >= 1 trajectories, got {n}")
-    method, psi0, cp_idx, chunk = _solver(
+    method, cp_idx, chunk = _solver(
         method, aset, psi0, grid, h0, checkpoints, kernel.gamma, kernel
     )
     is_white = kernel.family is KernelFamily.WHITE
@@ -422,7 +403,7 @@ def simulate_ensemble(
     nodes = cp_idx if method == "exact_commuting" and not is_white else None
 
     m = aset.num_ops
-    amps = np.empty((n, len(cp_idx), psi0.size), dtype=np.complex128)
+    amps = np.empty((n, len(cp_idx), aset.dim), dtype=np.complex128)
     logw = np.empty((n, len(cp_idx)))
     x_out = np.empty((n, m, len(cp_idx)))
 

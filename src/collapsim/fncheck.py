@@ -87,6 +87,12 @@ def _analytic_rhs(name: str, gamma: float, g_val: float, f_val: float) -> float:
     return gamma * g_val * math.exp(0.5 * gamma * f_val)
 
 
+def require_samples(n: int, where: str = "n") -> None:
+    """A ConfigError naming ``where`` unless n >= 2: the paired stderr needs two samples."""
+    if n < 2:
+        raise ConfigError(f"{where} must be >= 2 for fn-check, got {n}")
+
+
 def fn_validate(
     kernel: CorrelationKernel,
     functional: str,
@@ -100,8 +106,7 @@ def fn_validate(
     quadrature is closed-form (G from the kernel transforms), so refining it
     changes nothing; all Monte Carlo noise is shared between the two sides.
     """
-    if n < 2:
-        raise ConfigError("fn_validate needs n >= 2 samples")
+    require_samples(n)
     if functional not in FN_FUNCTIONALS:
         raise UnknownFunctional(f"unknown functional {functional!r}; pick from {FN_FUNCTIONALS}")
     gamma = kernel.gamma

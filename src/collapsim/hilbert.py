@@ -1,10 +1,10 @@
-"""Preferred-basis operators, Hamiltonian checks, and density matrices.
+"""Preferred-basis operators, the psi0 and H0 checks, and density matrices.
 
-Everything lives in the joint eigenbasis of the preferred-basis operators:
-the operators are given directly as an eigenvalue table a[i, alpha] (operator
-i, basis state alpha), which makes them simultaneously diagonal by
-construction.  hbar = 1 throughout.  State vectors are plain complex arrays;
-the solvers in ``dynamics`` carry their log-magnitude offsets.
+Everything lives in the joint eigenbasis of the preferred-basis operators,
+given as an eigenvalue table a[i, alpha] (operator i, basis state alpha), so
+they are simultaneously diagonal by construction; hbar = 1.  psi0 and H0 are
+checked only here, by ``initial_state``, ``validate_hamiltonian`` and
+``require_commuting``, each naming the config key the CLI passes it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonCommuting
 
 __all__ = [
     "CommutingSet",
@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1.0e-12
+COMMUTATION_TOL = 1.0e-10
 TRACE_TOL = 1.0e-10
 EIGENVALUE_FLOOR = -1.0e-9
 
@@ -83,14 +84,23 @@ class CommutingSet:
         return out
 
 
-def validate_hamiltonian(h0: np.ndarray, dim: int | None = None) -> np.ndarray:
-    h0 = np.asarray(h0, dtype=np.complex128)
-    if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-        raise ConfigError("Hamiltonian must be a square matrix")
-    if dim is not None and h0.shape[0] != dim:
-        raise ConfigError(f"Hamiltonian dimension {h0.shape[0]} != system dimension {dim}")
-    if np.max(np.abs(h0 - h0.conj().T)) >= HERMITICITY_TOL:
-        raise ConfigError("Hamiltonian is not Hermitian within 1e-12")
+def initial_state(psi0, dim: int, where: str = "initial state") -> np.ndarray:
+    """psi0 / |psi0|, or a ConfigError naming ``where`` unless psi0 is ``dim`` amplitudes of finite nonzero norm."""
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    norm = np.linalg.norm(psi0)
+    if psi0.shape != (dim,) or not 0.0 < norm < np.inf:
+        raise ConfigError(f"{where} must be {dim} amplitudes with a finite nonzero norm")
+    return psi0 / norm
+
+
+def validate_hamiltonian(h0, dim: int, where: str = "Hamiltonian") -> np.ndarray:
+    """h0 as a complex array, or a ConfigError naming ``where`` unless it is a Hermitian dim x dim matrix."""
+    h0 = np.array(h0, dtype=object)  # ragged rows stay lists, so they fail the shape check
+    if h0.shape != (dim, dim):
+        raise ConfigError(f"{where} must be a {dim}x{dim} matrix")
+    h0 = h0.astype(np.complex128)
+    if np.max(np.abs(h0 - h0.conj().T)) > HERMITICITY_TOL:
+        raise ConfigError(f"{where} must be Hermitian within {HERMITICITY_TOL:g}")
     return h0
 
 
@@ -105,9 +115,20 @@ def commutation_check(h0: np.ndarray, aset: CommutingSet) -> float:
     return worst
 
 
-def born_weights(psi0: np.ndarray, aset: CommutingSet) -> np.ndarray:
-    """||P_g psi0||^2 per outcome group, for a normalized psi0."""
-    p = np.abs(np.asarray(psi0, dtype=np.complex128)) ** 2
+def require_commuting(h0: np.ndarray, aset: CommutingSet, where: str = "H0") -> None:
+    """NonCommuting naming ``where`` unless H0 commutes with the table, as colored noise needs."""
+    worst = commutation_check(h0, aset)
+    if worst > COMMUTATION_TOL:
+        raise NonCommuting(
+            f"{where} does not commute with the preferred basis (max dev {worst:.2e}); "
+            "colored noise with a non-commuting Hamiltonian has no closed solver: "
+            "drop H0 or make it commute with the eigenvalue table"
+        )
+
+
+def born_weights(psi0, aset: CommutingSet) -> np.ndarray:
+    """||P_g psi0||^2 per outcome group, with psi0 normalized by ``initial_state``."""
+    p = np.abs(initial_state(psi0, aset.dim)) ** 2
     return np.array([float(np.sum(p[g.indices])) for g in aset.outcome_groups()])
 
 

@@ -75,7 +75,7 @@ class CorrelationKernel:
     table_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
+        if self.gamma is None or not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ConfigError(f"kernel strength gamma must be positive, got {self.gamma}")
         if self.family in (KernelFamily.GAUSSIAN, KernelFamily.EXPONENTIAL):
             if self.tau is None or not (self.tau > 0.0 and math.isfinite(self.tau)):
@@ -159,8 +159,6 @@ def kernel_from_config(block: dict, base_dir=None) -> CorrelationKernel:
     except (KeyError, ValueError):
         raise ConfigError(f"unknown kernel family in {block!r}")
     gamma = block.get("gamma")
-    if gamma is None:
-        raise ConfigError("kernel block needs gamma")
     if family is KernelFamily.TABULATED:
         path = block.get("table_path")
         if path is None:

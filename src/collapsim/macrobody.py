@@ -113,10 +113,16 @@ class MacroBody:
         return cls(rows[:, 1:])
 
 
+def require_after_t0(times, t0: float, where: str = "t") -> None:
+    """An InvalidInterval naming ``where`` unless every time is >= t0, where gamma(t) starts."""
+    first = float(np.min(times))
+    if first < t0:
+        raise InvalidInterval(f"{where} must be >= t0 = {t0}, got {first}")
+
+
 def _gamma_ratio(params: MacroParams, t: float) -> float:
     """gamma(t)/gamma = erf(sqrt(beta) (t - t0) / 2), monotone from 0 to 1."""
-    if t < params.t0:
-        raise InvalidInterval(f"need t >= t0, got t={t} < t0={params.t0}")
+    require_after_t0(t, params.t0)
     return math.erf(0.5 * math.sqrt(params.beta) * (t - params.t0))
 
 
@@ -218,13 +224,11 @@ def macro_damping_rate_quadrature(
 
 def _gamma_ratio_time_integral(params: MacroParams, t: float) -> float:
     """int_{t0}^{t} gamma(u)/gamma du, closed form via the erf antiderivative."""
-    if t < params.t0:
-        raise InvalidInterval(f"need t >= t0, got t={t} < t0={params.t0}")
     k = 0.5 * math.sqrt(params.beta)
     span = t - params.t0
     z = k * span
-    # int_0^T erf(k u) du = T erf(kT) + (e^{-k^2 T^2} - 1)/(k sqrt(pi))
-    return span * math.erf(z) + (math.exp(-(z**2)) - 1.0) / (k * math.sqrt(math.pi))
+    # int_0^T erf(k u) du = T erf(kT) + (e^{-k^2 T^2} - 1)/(k sqrt(pi)); erf(kT) is _gamma_ratio
+    return span * _gamma_ratio(params, t) + (math.exp(-(z**2)) - 1.0) / (k * math.sqrt(math.pi))
 
 
 def com_offdiag_decay(

@@ -84,6 +84,12 @@ def cook_weights(result, checkpoint: int = -1, n_eff_floor: float = N_EFF_FLOOR)
     return CookedWeights(weights, lw, n_eff, mean_raw, stderr)
 
 
+def require_threshold(threshold: float, where: str = "decision threshold") -> None:
+    """A ConfigError naming ``where`` unless the decision threshold lies in (0.5, 1]."""
+    if not 0.5 < threshold <= 1.0:
+        raise ConfigError(f"{where} must lie in (0.5, 1], got {threshold!r}")
+
+
 def classify_outcomes(
     result, aset: CommutingSet, threshold: float = 0.99, checkpoint: int = -1
 ) -> np.ndarray:
@@ -92,8 +98,7 @@ def classify_outcomes(
     A trajectory is decided when one joint eigenmanifold holds at least
     ``threshold`` of the physical weight |psi_phys|^2 at the checkpoint.
     """
-    if not 0.5 < threshold <= 1.0:
-        raise ConfigError("decision threshold must lie in (0.5, 1]")
+    require_threshold(threshold)
     groups = aset.outcome_groups()
     probs = np.abs(result.amps[:, checkpoint, :]) ** 2  # (n, d)
     gp = np.stack([probs[:, g.indices].sum(axis=1) for g in groups], axis=1)  # (n, G)
@@ -143,7 +148,7 @@ def born_frequencies(
     od = outcomes[decided_mask]
     denom = fsum_ordered(wd)
     n_eff = denom**2 / fsum_ordered(wd**2)
-    born = born_weights(np.asarray(psi0, complex), aset)
+    born = born_weights(psi0, aset)
     freq = np.array([fsum_ordered(wd[od == g]) / denom for g in range(len(labels))])
     stderr = np.sqrt(np.clip(born * (1.0 - born), 0.0, None) / n_eff)
     return BornReport(labels, born, freq, stderr, n_eff, undecided)
@@ -216,7 +221,7 @@ def cooked_x_distribution(
     sigma = math.sqrt(gf)
     groups = aset.outcome_groups()
     means = np.array([2.0 * g.key[0] * gf for g in groups])
-    comp_w = born_weights(np.asarray(psi0, complex), aset)
+    comp_w = born_weights(psi0, aset)
     dist = _weighted_ks(x, cw.weights, lambda xs: _mixture_cdf(xs, means, comp_w, sigma))
     raw_dist = _weighted_ks(
         x, np.ones_like(x), lambda xs: _mixture_cdf(xs, np.array([0.0]), np.array([1.0]), sigma)

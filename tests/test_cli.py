@@ -301,6 +301,11 @@ def test_float_keys_reject_non_numbers(tmp_path, capsys, case, value):
         (macro_config, "macro.body.lattice_sites", -3),
         (macro_config, "macro.body", None),
         (traj_config, "kernel.family", "Exponential"),
+        (traj_config, "system.initial_amplitudes", [0.0, 0.0]),
+        (traj_config, "system.initial_amplitudes", [1.0, 0.0, 0.0]),
+        (traj_config, "system.hamiltonian", [[0.0, 0.0], [0.0]]),
+        (traj_config, "system.hamiltonian", [[0.0, 1.0], [0.0, 0.0]]),
+        (macro_config, "macro.times", [1.0e-6, -1.0]),
     ],
 )
 def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, base, where, value):
@@ -352,7 +357,10 @@ def test_noncommuting_colored_rejected(tmp_path, capsys):
     cfg["system"]["hamiltonian"] = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
     code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "drop H0 or make it commute with the eigenvalue table" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "system.hamiltonian" in err
+    assert "drop H0 or make it commute with the eigenvalue table" in err
+    assert not (tmp_path / "o").exists()  # decided by the config alone, so nothing is written
 
 
 def test_rerun_and_worker_count_byte_identical(tmp_path):

@@ -249,6 +249,13 @@ def test_commuting_hamiltonian_phases(two_state, psi_born):
     assert np.allclose(ratio, expected_phase, atol=1e-10)
 
 
+@pytest.mark.parametrize("psi0", [[0.0, 0.0], [1.0, 0.0, 0.0], [math.inf, 1.0]])
+def test_bad_initial_state_is_a_config_error(two_state, psi0):
+    # an input condition (exit 2), not a numerical failure found mid-run
+    with pytest.raises(ConfigError, match="initial state must be 2 amplitudes"):
+        simulate_ensemble(two_state, psi0, TimeGrid(0.0, 1.0, 10), white_kernel(1.0), 4, 1)
+
+
 def test_noncommuting_h0_rejected(two_state, psi_born):
     kernel = gaussian_kernel(0.8, 0.3)
     grid = TimeGrid(0.0, 0.5, 50)

@@ -22,8 +22,8 @@ def test_commutation_check_cases(two_state):
 
 def test_validate_hamiltonian_rejects_non_hermitian():
     with pytest.raises(ConfigError):
-        validate_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    h = validate_hamiltonian(np.array([[1.0, 1j], [-1j, 0.5]]))
+        validate_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
+    h = validate_hamiltonian(np.array([[1.0, 1j], [-1j, 0.5]]), 2)
     assert h.shape == (2, 2)
 
 

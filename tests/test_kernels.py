@@ -305,6 +305,8 @@ def test_kernel_from_config_rejects_garbage(tmp_path):
         kernel_from_config({"family": "gaussian", "gamma": 1.0})  # no tau
     with pytest.raises(ConfigError):
         kernel_from_config({"family": "gaussian", "gamma": -1.0, "tau": 1.0})
+    with pytest.raises(ConfigError):
+        kernel_from_config({"family": "white"})  # no gamma
     bad = tmp_path / "bad.csv"
     bad.write_text("lag,D\n0.0,1.0\n")
     with pytest.raises(ConfigError):

@@ -111,6 +111,24 @@ def test_born_frequencies_two_state(two_state, psi_born):
     assert rep.frequency.sum() == pytest.approx(1.0, rel=1e-12)
 
 
+def test_born_reports_normalize_psi0(two_state):
+    # [3, 4] is 5 * [0.6, 0.8]: the Born weights are 0.36 and 0.64 for both
+    kernel = exponential_kernel(1.0, 0.25)
+    res = simulate_ensemble(two_state, [0.6, 0.8], TimeGrid(0.0, 1.0, 100), kernel, 400, 5)
+    reports = (
+        lambda psi0: born_frequencies(res, two_state, psi0, threshold=0.9, min_decided=0.0),
+        lambda psi0: cooked_x_distribution(res, two_state, psi0, kernel),
+    )
+    for report in reports:
+        unit, scaled = report([0.6, 0.8]), report([3.0, 4.0])
+        for field in dataclasses.fields(unit):
+            got, want = getattr(scaled, field.name), getattr(unit, field.name)
+            if field.name == "labels":
+                assert got == want
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=field.name)
+
+
 def test_born_equal_superposition(two_state):
     psi0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
     res = run_white(two_state, psi0, 1.0, 1.4, 280, 10_000, 61)
