@@ -28,9 +28,9 @@ from .errors import CollapsimError, ConfigError
 from .hilbert import CommutingSet, DensityMatrix, initial_state, pure_density, require_commuting, validate_hamiltonian
 from .kernels import (
     KernelFamily,
+    eval_zero_extended,
     kernel_cumulative,
     kernel_double_integral,
-    kernel_eval,
     kernel_from_config,
 )
 from .macrobody import (
@@ -205,7 +205,7 @@ def _run_kernel_diag(out_dir, kernel, grid):
     columns = [
         ts,
         (grid.nodes() - grid.t0).tolist(),
-        [math.nan if white else kernel_eval(kernel, t, grid.t0) for t in ts],
+        [math.nan if white else eval_zero_extended(kernel, t, grid.t0) for t in ts],
         [kernel_cumulative(kernel, t, grid.t0) for t in ts],
         [kernel_double_integral(kernel, t, grid.t0) for t in ts],
     ]
@@ -216,20 +216,22 @@ def _run_kernel_diag(out_dir, kernel, grid):
 def _dump_paths(out_dir, grid, kernel, m, n, seed):
     print(f"collapsim: dumping {n} noise paths ({grid.num_nodes} nodes each); this can be a large file",
           file=sys.stderr)
-    if kernel.family is KernelFamily.WHITE:
-        batch = sample_white_increments(grid, kernel.gamma, m, n, seed)
-    else:
-        batch = sample_paths(build_covariance(grid, kernel), m, n, seed)
+    white = kernel.family is KernelFamily.WHITE
+    factor = None if white else build_covariance(grid, kernel)
     header = ["trajectory", "k", "t_k", *(f"w_{i + 1}" for i in range(m)), *(f"x_{i + 1}" for i in range(m))]
-    count = batch.w.shape[2]  # one row per node, or per step for white noise
+    count = grid.steps if white else grid.num_nodes  # one row per step for white noise, per node otherwise
     times = np.tile(grid.nodes()[:count], _DUMP_BLOCK).tolist()
     ks = list(range(count)) * _DUMP_BLOCK
 
-    def block(lo):
+    def block(lo):  # draws the block's paths as it writes them, so memory stays bounded in n
         hi = min(lo + _DUMP_BLOCK, n)
-        w = batch.w[lo:hi].transpose(1, 0, 2).reshape(m, -1)
-        x = batch.x[lo:hi, :, :count].transpose(1, 0, 2).reshape(m, -1)
-        index = np.repeat(np.arange(batch.index + lo, batch.index + hi), count)
+        if white:
+            batch = sample_white_increments(grid, kernel.gamma, m, hi - lo, seed, lo)
+        else:
+            batch = sample_paths(factor, m, hi - lo, seed, lo)
+        w = batch.w.transpose(1, 0, 2).reshape(m, -1)
+        x = batch.x[:, :, :count].transpose(1, 0, 2).reshape(m, -1)
+        index = np.repeat(np.arange(lo, hi), count)
         return [index.tolist(), ks[: index.size], times[: index.size], *w.tolist(), *x.tolist()]
 
     _write_csv(os.path.join(out_dir, "paths.csv"), header, map(block, range(0, n, _DUMP_BLOCK)))

@@ -153,16 +153,20 @@ def load_kernel_table(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kernel_from_config(block: dict, base_dir=None) -> CorrelationKernel:
-    """Build a kernel from a run-config block {family, gamma, tau?, table_path?}, values as given."""
+    """A kernel from a run-config block {family, gamma, tau?, table_path?}; a key the family ignores is an error."""
     try:
         family = KernelFamily(block["family"])
     except (KeyError, ValueError):
         raise ConfigError(f"unknown kernel family in {block!r}")
+    if block.get("tau") is not None and family not in (KernelFamily.GAUSSIAN, KernelFamily.EXPONENTIAL):
+        raise ConfigError(f"kernel.tau is not used by the {family.value} family")
+    if block.get("table_path") is not None and family is not KernelFamily.TABULATED:
+        raise ConfigError(f"kernel.table_path is not used by the {family.value} family")
     gamma = block.get("gamma")
     if family is KernelFamily.TABULATED:
         path = block.get("table_path")
         if path is None:
-            raise ConfigError("tabulated kernel needs table_path")
+            raise ConfigError("kernel.table_path is required for the tabulated family")
         lags, vals = load_kernel_table(os.path.join(base_dir or "", path))
         return tabulated_kernel(gamma, lags, vals)
     return CorrelationKernel(family, gamma, block.get("tau"))
@@ -192,7 +196,6 @@ def eval_zero_extended(kernel: CorrelationKernel, t1, t2):
         return kernel_eval(kernel, t1, t2)
     lag = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float))
     out = np.interp(lag, kernel.table_lags, kernel.table_values, right=0.0)
-    out = np.where(lag > kernel.max_lag, 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 

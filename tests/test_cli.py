@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from collapsim.cli import _SCHEMA, _as_int, _plan, _run_trajectories, main
+from collapsim import cli
+from collapsim.cli import _DUMP_BLOCK, _SCHEMA, _as_int, _plan, _run_trajectories, main
 from collapsim.dynamics import simulate_ensemble
 from collapsim.errors import ConfigError
 from collapsim.fncheck import fn_validate
@@ -198,6 +200,14 @@ def macro_config():
     }
 
 
+def white_diag_config():
+    return {
+        "task": "kernel-diag",
+        "kernel": {"family": "white", "gamma": 1.0},
+        "grid": {"t0": 0.0, "t1": 1.0, "steps": 4},
+    }
+
+
 def fn_config():
     return {
         "task": "fn-check",
@@ -301,6 +311,9 @@ def test_float_keys_reject_non_numbers(tmp_path, capsys, case, value):
         (macro_config, "macro.body.lattice_sites", -3),
         (macro_config, "macro.body", None),
         (traj_config, "kernel.family", "Exponential"),
+        (white_diag_config, "kernel.tau", -5.0),
+        (white_diag_config, "kernel.table_path", "nope.csv"),
+        (traj_config, "kernel.table_path", "nope.csv"),
         (traj_config, "system.initial_amplitudes", [0.0, 0.0]),
         (traj_config, "system.initial_amplitudes", [1.0, 0.0, 0.0]),
         (traj_config, "system.hamiltonian", [[0.0, 0.0], [0.0]]),
@@ -430,6 +443,24 @@ def test_trajectories_artifacts_well_formed(tmp_path):
     assert manifest["artifacts"] == ["trajectories.csv", "statistics.csv", "paths.csv"]
 
 
+@pytest.mark.parametrize("kernel", [{"family": "white", "gamma": 0.7}, traj_config()["kernel"]])
+def test_dump_paths_draws_one_block_at_a_time(tmp_path, monkeypatch, kernel):
+    # paths.csv streams, and so does the sampling behind it: no draw is larger than a block
+    asked = []
+    for name in ("sample_paths", "sample_white_increments"):
+        sampler = getattr(cli, name)
+
+        def recording(*args, _sampler=sampler, **kwargs):
+            asked.append(inspect.signature(_sampler).bind(*args, **kwargs).arguments["n"])
+            return _sampler(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+    cfg = traj_config(n=150, extra={"kernel": kernel, "reduction": {"threshold": 0.9, "min_decided": 0.0}})
+    cfg["ensemble"]["dump_paths"] = True
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+    assert max(asked) <= _DUMP_BLOCK and sum(asked) == 150
+
+
 def test_master_task_density(tmp_path):
     cfg = {
         "task": "master",
@@ -532,16 +563,19 @@ def test_malformed_kernel_table_exits_2_writing_nothing(tmp_path, capsys):
 
 
 def test_tabulated_kernel_path_relative_to_config(tmp_path):
-    (tmp_path / "tent.csv").write_text("0.0,1.0\n0.5,0.5\n1.0,0.0\n")
+    # the grid runs past the table's last lag, where D is zero
+    (tmp_path / "tent.csv").write_text("0.0,1.0\n0.5,0.5\n1.0,0.2\n")
     cfg = {
         "task": "kernel-diag",
         "kernel": {"family": "tabulated", "gamma": 1.0, "table_path": "tent.csv"},
-        "grid": {"t0": 0.0, "t1": 1.0, "steps": 4},
+        "grid": {"t0": 0.0, "t1": 2.0, "steps": 8},
     }
     out = tmp_path / "out"
     assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     _, rows = read_csv(out / "kernel_diag.csv")
     assert float(rows[1][2]) == pytest.approx(0.75)  # D at lag 0.25
+    assert float(rows[4][2]) == pytest.approx(0.2)  # D at the last lag, 1.0
+    assert [float(r[2]) for r in rows[5:]] == [0.0] * 4
 
 
 def _reference_csv(path, header, rows):

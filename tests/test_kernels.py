@@ -307,6 +307,12 @@ def test_kernel_from_config_rejects_garbage(tmp_path):
         kernel_from_config({"family": "gaussian", "gamma": -1.0, "tau": 1.0})
     with pytest.raises(ConfigError):
         kernel_from_config({"family": "white"})  # no gamma
+    with pytest.raises(ConfigError, match="kernel.tau"):
+        kernel_from_config({"family": "white", "gamma": 1.0, "tau": -5.0})
+    with pytest.raises(ConfigError, match="kernel.table_path"):
+        kernel_from_config({"family": "exponential", "gamma": 1.0, "tau": 1.0, "table_path": "nope.csv"})
+    with pytest.raises(ConfigError, match="kernel.tau"):
+        kernel_from_config({"family": "tabulated", "gamma": 1.0, "tau": 1.0, "table_path": "nope.csv"})
     bad = tmp_path / "bad.csv"
     bad.write_text("lag,D\n0.0,1.0\n")
     with pytest.raises(ConfigError):
