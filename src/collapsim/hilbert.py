@@ -87,7 +87,8 @@ class CommutingSet:
 def initial_state(psi0, dim: int, where: str = "initial state") -> np.ndarray:
     """psi0 / |psi0|, or a ConfigError naming ``where`` unless psi0 is ``dim`` amplitudes of finite nonzero norm."""
     psi0 = np.asarray(psi0, dtype=np.complex128)
-    norm = np.linalg.norm(psi0)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below, not warned about
+        norm = np.linalg.norm(psi0)
     if psi0.shape != (dim,) or not 0.0 < norm < np.inf:
         raise ConfigError(f"{where} must be {dim} amplitudes with a finite nonzero norm")
     return psi0 / norm
