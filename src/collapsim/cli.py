@@ -40,7 +40,7 @@ from .master import evolve_colored_master, evolve_lindblad_csl
 from .noise import TimeGrid, checkpoint_indices, sample_paths, sample_white_increments, build_covariance
 from .dynamics import simulate_ensemble
 from .fncheck import FN_FUNCTIONALS, fn_validate, require_samples
-from .reduction import UNDECIDED, born_frequencies, classify_outcomes, require_threshold
+from .reduction import UNDECIDED, born_frequencies, classify_outcomes, require_min_decided, require_threshold
 
 TASKS = ("trajectories", "master", "fn-check", "macro-rate", "kernel-diag")
 
@@ -73,7 +73,7 @@ _SCHEMA = {
         "trajectories": ("int", _REQUIRED, 1), "master_seed": ("int", _REQUIRED, 0),
         "workers": ("int", 1, 1), "checkpoints": ("int", 50, 2), "dump_paths": ("bool", False, None),
     },
-    "reduction": {"threshold": ("float", 0.99, None), "min_decided": ("float", 0.95, 0.0)},
+    "reduction": {"threshold": ("float", 0.99, None), "min_decided": ("float", 0.95, None)},
     "output": {"directory": ("str", None, None)},
     "macro": {
         "alpha": ("float", DEFAULT_ALPHA, None), "lambda": ("float", DEFAULT_LAMBDA, None),
@@ -370,6 +370,7 @@ def _plan(cfg, base_dir, seed=None, workers=None):
         require_commuting(system[2], system[0], "system.hamiltonian")
     red = _block(top["reduction"], "reduction")
     require_threshold(red["threshold"], "reduction.threshold")
+    require_min_decided(red["min_decided"], "reduction.min_decided")
     return top, ens, _run_trajectories, (system, grid, kernel, ens, red)
 
 

@@ -5,9 +5,10 @@ numerics; ``simulate_ensemble`` selects one through its ``method``:
 
 * ``trotter_white`` -- white noise with an arbitrary Hamiltonian, via
   Trotter splitting: unitary half-step, exact diagonal stochastic factor
-  exp(sum_i A_i w_i dt - gamma sum_i A_i^2 dt), unitary half-step.  The
-  diagonal exponential realizes the Stratonovich reading exactly in the
-  noise; the per-step error is O(dt^2) from the splitting alone.
+  exp(sum_i A_i w_i dt - gamma sum_i A_i^2 dt), unitary half-step; adjacent
+  half-steps merge into one exp(-i H0 dt) except beside a recorded
+  checkpoint.  The diagonal exponential realizes the Stratonovich reading
+  exactly in the noise; the per-step error is O(dt^2) from the splitting.
 * ``exact_commuting`` -- any kernel when the Hamiltonian commutes with the
   preferred-basis operators (or is absent).  Amplitudes propagate in
   closed form, c_a(t) = c_a(t0) exp(-i E_a (t-t0) + sum_i a_ia x_i(t)
@@ -93,60 +94,54 @@ class EnsembleResult:
         return self.amps.shape[2]
 
 
-def _unitary(h0: np.ndarray | None, dt: float) -> np.ndarray | None:
+def _unitary(h0: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i H0 dt) through the eigendecomposition (H0 Hermitian, hbar = 1)."""
-    if h0 is None:
-        return None
     evals, vecs = np.linalg.eigh(h0)
     return (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T
 
 
-def _normalize_rows(psi: np.ndarray, offsets: np.ndarray) -> None:
-    norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
-    if np.any(norms == 0.0):
-        raise ZeroNorm("trajectory mantissa collapsed to zero")
-    psi /= norms[:, None]
-    offsets += np.log(norms)
-
-
 # ---------------------------------------------------------------------------
-# chunk kernels (vectorized over trajectories; row i = trajectory i)
+# chunk kernels (vectorized over trajectories; result row i = trajectory i)
 
 
-def _stepped_chunk(aset, psi0, grid, drive, cp_idx, u_half, comp):
+def _stepped_chunk(aset, psi0, grid, drive, cp_idx, unitaries, comp):
     """Trotter stepping for a chunk: drive is (nc, m, steps), one value per step.
 
-    comp = gamma sum_i a_ia^2 dt gives the compensated (norm-average-preserving)
-    dynamics; comp = 0 the raw linear equation.
+    comp = gamma sum_i a_ia^2 dt, shape (d, 1), gives the compensated
+    (norm-average-preserving) dynamics; comp = 0 the raw linear equation.
+    psi[:, i] is trajectory i.  ``unitaries`` is None or (exp(-i H0 dt),
+    exp(-i H0 dt/2)); half-steps merge except beside a recorded checkpoint.
     """
     nc = drive.shape[0]
-    dt = grid.dt
-    table = aset.table  # (m, d)
-    psi = np.broadcast_to(psi0, (nc, psi0.size)).copy()
+    drive = np.ascontiguousarray(drive.transpose(2, 1, 0))  # (steps, m, nc)
+    psi = np.repeat(psi0[:, None], nc, axis=1)
     offsets = np.zeros(nc)
     cp_set = {int(k): j for j, k in enumerate(cp_idx)}
-    ncp = len(cp_idx)
-    amps = np.empty((nc, ncp, psi0.size), dtype=np.complex128)
-    logw = np.empty((nc, ncp))
-
-    def record(node):
-        j = cp_set.get(node)
-        if j is not None:
-            amps[:, j, :] = psi
-            logw[:, j] = 2.0 * offsets
-
-    record(0)
+    amps = np.empty((nc, len(cp_idx), psi0.size), dtype=np.complex128)
+    logw = np.empty((nc, len(cp_idx)))
+    if 0 in cp_set:
+        amps[:, cp_set[0], :] = psi.T
+        logw[:, cp_set[0]] = 0.0
+    merged = False  # whether psi still owes the previous step its trailing half-step
     for k in range(grid.steps):
-        if u_half is not None:
-            psi = psi @ u_half.T
-        expo = (drive[:, :, k] @ table) * dt - comp
-        peak = expo.max(axis=1)
-        psi = psi * np.exp(expo - peak[:, None])
+        j = cp_set.get(k + 1)
+        if unitaries is not None:
+            psi = unitaries[0 if merged else 1] @ psi
+        expo = aset.table.T @ drive[k] * grid.dt - comp
+        peak = expo.max(axis=0)
+        psi *= np.exp(expo - peak)
         offsets += peak
-        if u_half is not None:
-            psi = psi @ u_half.T
-        _normalize_rows(psi, offsets)
-        record(k + 1)
+        if unitaries is not None and j is not None:
+            psi = unitaries[1] @ psi
+        merged = j is None
+        norms = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=0))
+        if np.any(norms == 0.0):
+            raise ZeroNorm("trajectory mantissa collapsed to zero")
+        psi /= norms
+        offsets += np.log(norms)
+        if j is not None:
+            amps[:, j, :] = psi.T
+            logw[:, j] = 2.0 * offsets
     return amps, logw
 
 
@@ -221,14 +216,14 @@ def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
 
         return method, cp_idx, chunk
 
-    u_half = _unitary(h0, 0.5 * grid.dt)
-    comp = gamma * np.sum(aset.table**2, axis=0) * grid.dt if method == "trotter_white" else 0.0
+    unitaries = None if h0 is None else (_unitary(h0, grid.dt), _unitary(h0, 0.5 * grid.dt))
+    comp = gamma * np.sum(aset.table**2, axis=0)[:, None] * grid.dt if method == "trotter_white" else 0.0
 
     def chunk(kind, w, x_cp):
         # node-kind (colored) paths step on the trapezoid average of adjacent
         # nodes, so with H0 = 0 the product telescopes to exp(A . x_trap)
         drive = w if kind == "increments" else 0.5 * (w[..., :-1] + w[..., 1:])
-        return _stepped_chunk(aset, psi0, grid, drive, cp_idx, u_half, comp)
+        return _stepped_chunk(aset, psi0, grid, drive, cp_idx, unitaries, comp)
 
     return method, cp_idx, chunk
 

@@ -62,7 +62,8 @@ def _rk4_density(rho0, grid, rhs, cp_idx):
         k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = rhs(rho + dt * k3, t + dt)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = abs(float(np.trace(rho).real) - 1.0) + abs(float(np.trace(rho).imag))
+        tr = np.trace(rho)
+        drift = abs(float(tr.real) - 1.0) + abs(float(tr.imag))
         if drift > TRACE_DRIFT_TOL:
             raise StepSizeRejected(
                 f"trace drift {drift:.2e} at t={nodes[k + 1]:.6g}; reduce the step size"
@@ -163,9 +164,8 @@ def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> Densit
     self-normalized weights.  Both estimate the same statistical operator.
     Standard errors come from batch means over trajectory-index batches
     (weights correlate with states, so per-sample variances would lie).
-    Each checkpoint is reduced over the gathered array in a fixed
-    trajectory-index order by numpy.  Ensembles run on one worker; a
-    ``workers`` value is validated and changes nothing.
+    Each batch's sums at every checkpoint come from one stacked matrix
+    product, and the total is the sum of the batch sums, in batch order.
     """
     if mode not in ("raw", "cooked"):
         raise ConfigError(f"mode must be 'raw' or 'cooked', got {mode!r}")
@@ -174,34 +174,29 @@ def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> Densit
         raise ConfigError("need at least 2 trajectories for an ensemble estimate")
     nb = max(2, min(batches, n))
     edges = np.linspace(0, n, nb + 1).astype(int)
-    starts = edges[:-1]
-    rhos = np.empty((ncp, d, d), dtype=np.complex128)
-    err_re = np.empty((ncp, d, d))
-    err_im = np.empty((ncp, d, d))
-    weighted = np.empty((n, d, d), dtype=np.complex128)  # one buffer for every checkpoint
-    for c in range(ncp):
-        lw = result.log_weights[:, c]
-        peak = float(np.max(lw))
-        if math.exp(min(peak, 709.0)) == 0.0:
-            raise DegenerateEnsemble("all cooking weights underflow at this checkpoint")
-        s = np.exp(lw - peak)
-        psi = result.amps[:, c]
-        np.multiply(psi[:, :, None], psi[:, None, :].conj(), out=weighted)
-        weighted *= s[:, None, None]
-        bsums = np.add.reduceat(weighted, starts, axis=0)
-        total = weighted.sum(axis=0)
-        if mode == "cooked":
-            wsums = np.add.reduceat(s, starts)
-            if np.any(wsums == 0.0):
-                raise DegenerateEnsemble("a weight batch summed to zero")
-            rhos[c] = total / s.sum()
-            bm = bsums / wsums[:, None, None]
-        else:
-            rhos[c] = _scaled_value(total / n, peak)
-            bm = bsums / np.diff(edges)[:, None, None]
-        sd = np.std([bm.real, bm.imag], axis=1, ddof=1) / math.sqrt(nb)
-        err_re[c], err_im[c] = sd if mode == "cooked" else _scaled_value(sd, peak)
-    return DensityPath(result.times, rhos, err_re, err_im)
+    peak = np.max(result.log_weights, axis=0)  # (ncp,)
+    if np.any(np.exp(np.minimum(peak, 709.0)) == 0.0):
+        raise DegenerateEnsemble("all cooking weights underflow at this checkpoint")
+    bsums = np.empty((nb, ncp, d, d), dtype=np.complex128)
+    wsums = np.empty((nb, ncp))
+    for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        s = np.exp(result.log_weights[lo:hi] - peak)  # (hi - lo, ncp)
+        psi = result.amps[lo:hi].transpose(1, 0, 2)  # (ncp, hi - lo, d)
+        np.matmul((psi * s.T[..., None]).transpose(0, 2, 1), psi.conj(), out=bsums[b])
+        wsums[b] = s.sum(axis=0)
+    total = bsums.sum(axis=0)
+    if mode == "cooked":
+        if np.any(wsums == 0.0):
+            raise DegenerateEnsemble("a weight batch summed to zero")
+        rhos = total / wsums.sum(axis=0)[:, None, None]
+        bsums /= wsums[:, :, None, None]
+    else:
+        rhos = _scaled_value(total / n, peak[:, None, None])
+        bsums /= np.diff(edges)[:, None, None, None]
+    err = [np.std(part, axis=0, ddof=1) / math.sqrt(nb) for part in (bsums.real, bsums.imag)]
+    if mode == "raw":
+        err = [_scaled_value(e, peak[:, None, None]) for e in err]
+    return DensityPath(result.times, rhos, *err)
 
 
 def fit_exponential_rate(times, values) -> float:

@@ -25,9 +25,9 @@ per batch and re-key it to (S, k) for each row, which yields the same stream
 stacked products, one GEMM per row, so a row never depends on the batch it
 was drawn in: paths depend only on (S, k), never on chunking.  Ensembles run
 on one worker; a ``workers`` value is validated and changes nothing.  The
-ensemble estimators reduce the gathered array in a fixed trajectory-index
-order with numpy; the cooking statistics still use compensated summation
-(fsum_ordered) in that order.
+density estimator sums each trajectory-index batch with one stacked GEMM and
+totals the batch sums; the cooking statistics still use compensated
+summation (fsum_ordered) in trajectory-index order.
 """
 
 from __future__ import annotations

@@ -90,6 +90,12 @@ def require_threshold(threshold: float, where: str = "decision threshold") -> No
         raise ConfigError(f"{where} must lie in (0.5, 1], got {threshold!r}")
 
 
+def require_min_decided(min_decided: float, where: str = "minimum decided fraction") -> None:
+    """A ConfigError naming ``where`` unless the minimum decided fraction lies in [0, 1]."""
+    if not 0.0 <= min_decided <= 1.0:
+        raise ConfigError(f"{where} must lie in [0, 1], got {min_decided!r}")
+
+
 def classify_outcomes(
     result, aset: CommutingSet, threshold: float = 0.99, checkpoint: int = -1
 ) -> np.ndarray:
@@ -133,6 +139,7 @@ def born_frequencies(
     error is binomial under the reference weights at the decided effective
     sample size, sqrt(p0 (1 - p0) / n_eff).
     """
+    require_min_decided(min_decided)
     cw = cook_weights(result, checkpoint)
     labels = [g.label for g in aset.outcome_groups()]
     outcomes = classify_outcomes(result, aset, threshold, checkpoint)

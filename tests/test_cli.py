@@ -243,6 +243,7 @@ def run_bad(tmp_path, cfg):
         (traj_config, "ensemble.trajectories", 0),
         (traj_config, "reduction.min_decided", -0.5),
         (traj_config, "reduction.threshold", 0.3),
+        (traj_config, "reduction.min_decided", 1.5),
         (fn_config, "ensemble.trajectories", 1),
         (macro_config, "macro.lambda", -1.0),
     ],
@@ -319,6 +320,7 @@ def test_float_keys_reject_non_numbers(tmp_path, capsys, case, value):
         (traj_config, "system.hamiltonian", [[0.0, 0.0], [0.0]]),
         (traj_config, "system.hamiltonian", [[0.0, 1.0], [0.0, 0.0]]),
         (macro_config, "macro.times", [1.0e-6, -1.0]),
+        (traj_config, "reduction.min_decided", 1.5),
     ],
 )
 def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, base, where, value):

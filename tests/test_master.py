@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import statistics
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -287,6 +288,24 @@ def test_raw_estimate_scale_free_in_log_weights(three_state, psi_three):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     with pytest.raises(DegenerateEnsemble, match="overflowed"):
         ensemble_to_density(dataclasses.replace(res, log_weights=res.log_weights + 800.0), "raw")
+
+
+@pytest.mark.parametrize("mode", ["raw", "cooked"])
+def test_density_estimator_peak_memory_below_outer_product_buffer(mode):
+    # the estimator never holds one d x d outer product per trajectory
+    n, d, ncp = 4000, 6, 20
+    grid = TimeGrid(0.0, 0.5, ncp - 1)
+    res = simulate_ensemble(
+        CommutingSet([np.linspace(-1.0, 1.0, d)]), np.full(d, 1.0 / math.sqrt(d)), grid,
+        white_kernel(0.5), n, 7, checkpoints=np.arange(ncp),
+    )
+    tracemalloc.start()
+    try:
+        ensemble_to_density(res, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * d * 16
 
 
 def test_decay_report_and_rate_fit(two_state, psi_born):
