@@ -19,8 +19,9 @@ numerics; ``simulate_ensemble`` selects one through its ``method``:
   that the mean squared norm drifts, which is what motivates the
   compensating term.
 
-Every solver decision (default checkpoints, and the ``hilbert`` checks of
-psi0, H0 and commutation) is made once in ``_solver``.  Noise comes in as a
+Every solver decision (the checkpoints, by ``noise.checkpoint_schedule``, and
+the ``hilbert`` checks of psi0, H0 and commutation) is made once in
+``_solver``; no step past the last checkpoint is taken.  Noise comes in as a
 ``NoiseBatch`` and results go out as an ``EnsembleResult``, one row per
 trajectory: ``evolve_csl_white`` and ``evolve_colored_commuting`` take a
 batch of one and return a one-row result from the same solver chunk.
@@ -46,7 +47,7 @@ from .kernels import CorrelationKernel, KernelFamily, kernel_double_integral
 from .noise import (
     NoiseBatch,
     TimeGrid,
-    checkpoint_indices,
+    checkpoint_schedule,
     left_cumulative,
     sample_paths,
     sample_white_increments,
@@ -116,32 +117,27 @@ def _stepped_chunk(aset, psi0, grid, drive, cp_idx, unitaries, comp):
     drive = np.ascontiguousarray(drive.transpose(2, 1, 0))  # (steps, m, nc)
     psi = np.repeat(psi0[:, None], nc, axis=1)
     offsets = np.zeros(nc)
-    cp_set = {int(k): j for j, k in enumerate(cp_idx)}
     amps = np.empty((nc, len(cp_idx), psi0.size), dtype=np.complex128)
     logw = np.empty((nc, len(cp_idx)))
-    if 0 in cp_set:
-        amps[:, cp_set[0], :] = psi.T
-        logw[:, cp_set[0]] = 0.0
-    merged = False  # whether psi still owes the previous step its trailing half-step
-    for k in range(grid.steps):
-        j = cp_set.get(k + 1)
-        if unitaries is not None:
-            psi = unitaries[0 if merged else 1] @ psi
-        expo = aset.table.T @ drive[k] * grid.dt - comp
-        peak = expo.max(axis=0)
-        psi *= np.exp(expo - peak)
-        offsets += peak
-        if unitaries is not None and j is not None:
-            psi = unitaries[1] @ psi
-        merged = j is None
-        norms = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=0))
-        if np.any(norms == 0.0):
-            raise ZeroNorm("trajectory mantissa collapsed to zero")
-        psi /= norms
-        offsets += np.log(norms)
-        if j is not None:
-            amps[:, j, :] = psi.T
-            logw[:, j] = 2.0 * offsets
+    start = 0
+    for j, stop in enumerate(cp_idx):
+        for k in range(start, stop):
+            if unitaries is not None:
+                psi = unitaries[1 if k == start else 0] @ psi
+            expo = aset.table.T @ drive[k] * grid.dt - comp
+            peak = expo.max(axis=0)
+            psi *= np.exp(expo - peak)
+            offsets += peak
+            if unitaries is not None and k + 1 == stop:
+                psi = unitaries[1] @ psi
+            norms = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=0))
+            if np.any(norms == 0.0):
+                raise ZeroNorm("trajectory mantissa collapsed to zero")
+            psi /= norms
+            offsets += np.log(norms)
+        amps[:, j, :] = psi.T
+        logw[:, j] = 2.0 * offsets
+        start = stop
     return amps, logw
 
 
@@ -199,7 +195,7 @@ def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
     if method == "trotter_white" and kernel is not None and kernel.family is not KernelFamily.WHITE:
         raise ConfigError("trotter_white requires a white kernel")
     psi0 = initial_state(psi0, aset.dim)
-    cp_idx = checkpoint_indices(grid, 50) if checkpoints is None else np.asarray(checkpoints)
+    cp_idx = checkpoint_schedule(grid, checkpoints)
     if h0 is not None:
         h0 = validate_hamiltonian(h0, aset.dim)
 
@@ -220,10 +216,16 @@ def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
     comp = gamma * np.sum(aset.table**2, axis=0)[:, None] * grid.dt if method == "trotter_white" else 0.0
 
     def chunk(kind, w, x_cp):
+        # zero rows up to a multiple of 16 keep every real row out of OpenBLAS's partial
+        # GEMM panels (the last n mod 4 columns), whose rounding depends on the chunk width
+        nc = len(w)
+        if nc % 16:
+            w = np.pad(w, [(0, -nc % 16), (0, 0), (0, 0)])
         # node-kind (colored) paths step on the trapezoid average of adjacent
         # nodes, so with H0 = 0 the product telescopes to exp(A . x_trap)
         drive = w if kind == "increments" else 0.5 * (w[..., :-1] + w[..., 1:])
-        return _stepped_chunk(aset, psi0, grid, drive, cp_idx, unitaries, comp)
+        amps, logw = _stepped_chunk(aset, psi0, grid, drive, cp_idx, unitaries, comp)
+        return amps[:nc], logw[:nc]
 
     return method, cp_idx, chunk
 

@@ -243,20 +243,19 @@ def _check_interval(t: float, t0: float, allow_inf_t0: bool):
         raise InvalidInterval(f"need t >= t0, got t={t} < t0={t0}")
 
 
-def _table_cumulative(kernel: CorrelationKernel, upper: float) -> float:
-    """Exact integral of the piecewise-linear table over [0, upper], zero beyond."""
-    lags, vals = kernel.table_lags, kernel.table_values
-    upper = min(upper, kernel.max_lag)
-    if upper <= 0.0:
-        return 0.0
-    total = 0.0
-    for lo, hi, vlo, vhi in zip(lags[:-1], lags[1:], vals[:-1], vals[1:]):
-        if lo >= upper:
-            break
-        seg_hi = min(hi, upper)
-        v_end = vlo + (vhi - vlo) * (seg_hi - lo) / (hi - lo)
-        total += 0.5 * (vlo + v_end) * (seg_hi - lo)
-    return total
+def _table_moments(kernel: CorrelationKernel, span: float) -> tuple[float, float]:
+    """(int_0^span D(u) du, int_0^span (span - u) D(u) du) for the table, zero beyond it.
+
+    Clipping the lags to span leaves segments on which D is linear, so the
+    trapezoid rule is exact for the first moment and Simpson's rule for the
+    second, whose integrand is quadratic.
+    """
+    u = np.minimum(kernel.table_lags, span)
+    d = np.interp(u, kernel.table_lags, kernel.table_values)
+    h, lever = np.diff(u), span - u
+    d_mid = 0.5 * (d[:-1] + d[1:])
+    simpson = lever[:-1] * d[:-1] + 2.0 * (lever[:-1] + lever[1:]) * d_mid + lever[1:] * d[1:]
+    return float(np.sum(h * d_mid)), float(np.sum(h * simpson)) / 6.0
 
 
 def kernel_cumulative(kernel: CorrelationKernel, t: float, t0: float) -> float:
@@ -277,33 +276,11 @@ def kernel_cumulative(kernel: CorrelationKernel, t: float, t0: float) -> float:
         return 0.5 * math.erf(span / (math.sqrt(2.0) * kernel.tau))
     if fam is KernelFamily.EXPONENTIAL:
         return 0.5 * (1.0 - math.exp(-span / kernel.tau))
-    return _table_cumulative(kernel, span)
+    return _table_moments(kernel, span)[0]
 
 
 # ---------------------------------------------------------------------------
 # double integral f(t; t0)
-
-
-def _table_weighted_integral(kernel: CorrelationKernel, span: float) -> float:
-    """Exact int_0^span (span - u) D(u) du for the piecewise-linear table."""
-    lags, vals = kernel.table_lags, kernel.table_values
-    upper = min(span, kernel.max_lag)
-    total = 0.0
-    for lo, hi, vlo, vhi in zip(lags[:-1], lags[1:], vals[:-1], vals[1:]):
-        if lo >= upper:
-            break
-        seg_hi = min(hi, upper)
-        slope = (vhi - vlo) / (hi - lo)
-        # integrate (span - u)(vlo + slope (u - lo)) du over [lo, seg_hi]
-        a, b = lo, seg_hi
-        c0 = vlo - slope * lo
-        # (span - u)(c0 + slope u) = span c0 + (span slope - c0) u - slope u^2
-        total += (
-            span * c0 * (b - a)
-            + 0.5 * (span * slope - c0) * (b * b - a * a)
-            - slope * (b**3 - a**3) / 3.0
-        )
-    return total
 
 
 def kernel_double_integral(kernel: CorrelationKernel, t: float, t0: float) -> float:
@@ -327,7 +304,7 @@ def kernel_double_integral(kernel: CorrelationKernel, t: float, t0: float) -> fl
         return span * math.erf(span / (math.sqrt(2.0) * tau)) + tau * math.sqrt(
             2.0 / math.pi
         ) * (math.exp(-(span**2) / (2.0 * tau * tau)) - 1.0)
-    return 2.0 * _table_weighted_integral(kernel, span)
+    return 2.0 * _table_moments(kernel, span)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +326,10 @@ class DivergenceReport:
         return self.nondecreasing and self.last_slope > self.slope_threshold
 
 
-def divergence_check(
-    kernel: CorrelationKernel, horizon: float, t0: float, num_points: int = 16
-) -> DivergenceReport:
+DIVERGENCE_POINTS = 16  # geometrically spaced horizons that divergence_check probes
+
+
+def divergence_check(kernel: CorrelationKernel, horizon: float, t0: float) -> DivergenceReport:
     """Probe whether f(t; t0) keeps growing out to ``horizon``.
 
     Kernels whose double integral saturates (e.g. compactly supported
@@ -360,7 +338,7 @@ def divergence_check(
     """
     if not horizon > t0:
         raise InvalidInterval(f"horizon {horizon} must exceed t0 {t0}")
-    spans = (horizon - t0) * np.geomspace(2.0**-10, 1.0, num_points)
+    spans = (horizon - t0) * np.geomspace(2.0**-10, 1.0, DIVERGENCE_POINTS)
     times = t0 + spans
     values = np.array([kernel_double_integral(kernel, t, t0) for t in times])
     diffs = np.diff(values)

@@ -49,6 +49,7 @@ SPEED_OF_LIGHT_CM_S = 2.99792458e10
 # Standard choices: localization accuracy 1e-5 cm and rate 1e-16 / s.
 DEFAULT_ALPHA = 1.0e10  # cm^-2
 DEFAULT_LAMBDA = 1.0e-16  # s^-1
+PADDING_SIGMAS = 8.5  # margin of macro_damping_rate_quadrature's grid, in Gaussian widths
 
 
 @dataclass(frozen=True)
@@ -194,20 +195,19 @@ def macro_damping_rate_quadrature(
     t: float,
     params: MacroParams,
     nodes_per_axis: int = 96,
-    padding_sigmas: float = 8.5,
 ) -> float:
     """Direct 3-D Gauss-Legendre quadrature of gamma(t) * int (F' - F'')^2 / 2.
 
     Independent of the closed form: evaluates the smeared densities on a
-    tensor grid covering every Gaussian center plus ``padding_sigmas`` widths
+    tensor grid covering every Gaussian center plus ``PADDING_SIGMAS`` widths
     of margin.  Practical for N <= 3 at default resolution.
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     sigma = 1.0 / math.sqrt(params.alpha)
     centers = np.vstack([q1[None, :] + body.offsets, q2[None, :] + body.offsets])
-    lo = centers.min(axis=0) - padding_sigmas * sigma
-    hi = centers.max(axis=0) + padding_sigmas * sigma
+    lo = centers.min(axis=0) - PADDING_SIGMAS * sigma
+    hi = centers.max(axis=0) + PADDING_SIGMAS * sigma
     xg, wg = np.polynomial.legendre.leggauss(nodes_per_axis)
     axes = [(0.5 * (h - l) * xg + 0.5 * (h + l), 0.5 * (h - l) * wg) for l, h in zip(lo, hi)]
     pts = np.stack(

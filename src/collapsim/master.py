@@ -10,7 +10,9 @@ so both integrators reduce to RK4 on
 
 with W[a, b] = sum_i (a_ia - a_ib)^2 and "." elementwise.  The colored
 integrator consumes the analytic cumulative G(t) rather than re-quadrature
-per step, which removes a discretization axis from every comparison.
+per step, which removes a discretization axis from every comparison.  Both
+record rho at ``noise.checkpoint_schedule(grid, checkpoints)`` and take no
+step past the last checkpoint.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateEnsemble, StepSizeRejected
 from .hilbert import CommutingSet, DensityMatrix, validate_hamiltonian
 from .kernels import CorrelationKernel, kernel_cumulative, kernel_double_integral
-from .noise import TimeGrid, checkpoint_indices
+from .noise import TimeGrid, checkpoint_schedule
 
 __all__ = [
     "DensityPath",
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 TRACE_DRIFT_TOL = 1.0e-8
+BATCHES = 100  # trajectory-index batches behind ensemble_to_density's standard errors
 
 
 @dataclass
@@ -51,26 +54,24 @@ def _rk4_density(rho0, grid, rhs, cp_idx):
     rho = np.array(rho0, dtype=np.complex128)
     nodes = grid.nodes()
     dt = grid.dt
-    cp_set = {int(k): j for j, k in enumerate(cp_idx)}
     out = np.empty((len(cp_idx), *rho.shape), dtype=np.complex128)
-    if 0 in cp_set:
-        out[cp_set[0]] = rho
-    for k in range(grid.steps):
-        t = nodes[k]
-        k1 = rhs(rho, t)
-        k2 = rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(rho + dt * k3, t + dt)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tr = np.trace(rho)
-        drift = abs(float(tr.real) - 1.0) + abs(float(tr.imag))
-        if drift > TRACE_DRIFT_TOL:
-            raise StepSizeRejected(
-                f"trace drift {drift:.2e} at t={nodes[k + 1]:.6g}; reduce the step size"
-            )
-        j = cp_set.get(k + 1)
-        if j is not None:
-            out[j] = rho
+    start = 0
+    for j, stop in enumerate(cp_idx):
+        for k in range(start, stop):
+            t = nodes[k]
+            k1 = rhs(rho, t)
+            k2 = rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = rhs(rho + dt * k3, t + dt)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            tr = np.trace(rho)
+            drift = abs(float(tr.real) - 1.0) + abs(float(tr.imag))
+            if drift > TRACE_DRIFT_TOL:
+                raise StepSizeRejected(
+                    f"trace drift {drift:.2e} at t={nodes[k + 1]:.6g}; reduce the step size"
+                )
+        out[j] = rho
+        start = stop
     return out
 
 
@@ -84,7 +85,7 @@ def evolve_lindblad_csl(
 ) -> DensityPath:
     """White-noise master equation, 4th-order explicit stepping."""
     rho0.validate()
-    cp_idx = checkpoint_indices(grid, 50) if checkpoints is None else np.asarray(checkpoints)
+    cp_idx = checkpoint_schedule(grid, checkpoints)
     w = aset.pairwise_gap_sq()
     h0m = validate_hamiltonian(h0, rho0.dim) if h0 is not None else None
 
@@ -112,7 +113,7 @@ def evolve_colored_master(
     may be -inf for the closed-form families (stationary long-history limit).
     """
     rho0.validate()
-    cp_idx = checkpoint_indices(grid, 50) if checkpoints is None else np.asarray(checkpoints)
+    cp_idx = checkpoint_schedule(grid, checkpoints)
     w = aset.pairwise_gap_sq()
     t0 = grid.t0 if kernel_t0 is None else kernel_t0
     gamma = kernel.gamma
@@ -156,7 +157,7 @@ def _scaled_value(values: np.ndarray, log_scale: float) -> np.ndarray:
     return phase * np.exp(out_log)
 
 
-def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> DensityPath:
+def ensemble_to_density(result, mode: str = "raw") -> DensityPath:
     """Estimate rho(t) from gathered trajectory records.
 
     raw mode averages the unnormalized projectors |psi><psi| (log-offset
@@ -172,7 +173,7 @@ def ensemble_to_density(result, mode: str = "raw", batches: int = 100) -> Densit
     n, ncp, d = result.amps.shape
     if n < 2:
         raise ConfigError("need at least 2 trajectories for an ensemble estimate")
-    nb = max(2, min(batches, n))
+    nb = max(2, min(BATCHES, n))
     edges = np.linspace(0, n, nb + 1).astype(int)
     peak = np.max(result.log_weights, axis=0)  # (ncp,)
     if np.any(np.exp(np.minimum(peak, 709.0)) == 0.0):

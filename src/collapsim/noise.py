@@ -51,6 +51,7 @@ __all__ = [
     "trapezoid_cumulative",
     "left_cumulative",
     "checkpoint_indices",
+    "checkpoint_schedule",
     "fsum_ordered",
 ]
 
@@ -97,6 +98,20 @@ def checkpoint_indices(grid: TimeGrid, count: int = 50) -> np.ndarray:
     """Indices of ``count`` (at most) evenly spaced nodes, always including both ends."""
     count = min(max(count, 2), grid.num_nodes)
     return np.unique(np.round(np.linspace(0, grid.steps, count)).astype(int))
+
+
+def checkpoint_schedule(grid: TimeGrid, checkpoints=None) -> np.ndarray:
+    """The nodes a solver records: ``checkpoint_indices(grid)`` for None, else ``checkpoints``.
+
+    Given checkpoints must be a non-empty, strictly increasing 1-D integer array in [0, steps].
+    """
+    if checkpoints is None:
+        return checkpoint_indices(grid)
+    cp = np.asarray(checkpoints)
+    ok = cp.ndim == 1 and cp.size and cp.dtype.kind in "iu"
+    if not (ok and cp[0] >= 0 and cp[-1] <= grid.steps and np.all(cp[1:] > cp[:-1])):
+        raise ConfigError(f"checkpoints must strictly increase as 1-D integers in [0, {grid.steps}], got {checkpoints!r}")
+    return cp
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ from scipy.linalg import expm
 
 from collapsim import (
     CommutingSet,
+    DensityMatrix,
     TimeGrid,
     build_covariance,
     evolve_colored_commuting,
+    evolve_colored_master,
     evolve_csl_white,
+    evolve_lindblad_csl,
     exponential_kernel,
     functional_derivative_probe,
     gaussian_kernel,
@@ -22,6 +25,7 @@ from collapsim import (
 )
 from collapsim.dynamics import CHUNK, bump_realization
 from collapsim.errors import ConfigError, NonCommuting
+from collapsim.hilbert import pure_density
 from collapsim.kernels import kernel_cumulative, kernel_double_integral
 from collapsim.noise import NoiseBatch, left_cumulative, trapezoid_cumulative
 
@@ -418,6 +422,63 @@ def test_prefix_shard_and_batch_of_one_invariance(family):
         assert np.allclose(rec.x, full.x[rows], rtol=0, atol=1e-14)
         assert np.allclose(rec.amps, full.amps[rows], rtol=0, atol=1e-12)
         assert np.allclose(rec.log_weights, full.log_weights[rows], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 515, 700])
+def test_rows_do_not_depend_on_chunk_width(n):
+    # a white Trotter row is bit-identical whatever the width of its chunk:
+    # a prefix of any length, a shard, and a single trajectory all match the
+    # rows of a 1024-trajectory run (two full chunks)
+    d, seed = 6, 21
+    aset = CommutingSet([np.linspace(-1.0, 1.0, d), np.arange(d) % 2])
+    psi0 = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    grid = TimeGrid(0.0, 0.5, 40)
+    cp, kernel = np.array([0, 13, 40]), white_kernel(0.6)
+    h0 = np.diag(np.full(d - 1, 0.3), 1) + np.diag(np.full(d - 1, 0.3), -1)
+    run = lambda count, start=0: simulate_ensemble(  # noqa: E731
+        aset, psi0, grid, kernel, count, seed, h0=h0, checkpoints=cp, start_index=start
+    )
+    full = run(1024)
+    for part, rows in ((run(n), slice(0, n)), (run(n, 3), slice(3, 3 + n))):
+        assert np.array_equal(part.amps, full.amps[rows])
+        assert np.array_equal(part.log_weights, full.log_weights[rows])
+    rz = sample_white_increments(grid, kernel.gamma, aset.num_ops, 1, seed, start_index=n - 1)[0]
+    one = evolve_csl_white(h0, aset, psi0, grid, kernel.gamma, rz, checkpoints=cp)
+    assert np.array_equal(one.amps, full.amps[n - 1 : n])
+    assert np.array_equal(one.log_weights, full.log_weights[n - 1 : n])
+
+
+BAD_SCHEDULES = {
+    "repeated": [0, 13, 13, 40],
+    "decreasing": [0, 30, 13],
+    "negative": [0, -1],
+    "past-steps": [0, 13, 80],
+    "float": [0.0, 13.0, 40.0],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("entry", ["trotter", "exact", "single-white", "lindblad", "colored-master"])
+@pytest.mark.parametrize("schedule", list(BAD_SCHEDULES.values()), ids=list(BAD_SCHEDULES))
+def test_bad_checkpoint_schedule_raises_config_error(entry, schedule, two_state, psi_born):
+    grid = TimeGrid(0.0, 0.5, 40)
+    cp = np.array(schedule)
+    rho0 = DensityMatrix(pure_density(psi_born))
+    runs = {
+        "trotter": lambda: simulate_ensemble(two_state, psi_born, grid, white_kernel(0.6), 3, 1, checkpoints=cp),
+        "exact": lambda: simulate_ensemble(
+            two_state, psi_born, grid, exponential_kernel(0.6, 0.2), 3, 1, checkpoints=cp
+        ),
+        "single-white": lambda: evolve_csl_white(
+            None, two_state, psi_born, grid, 0.6, sample_white_increments(grid, 0.6, 1, 1, 1), checkpoints=cp
+        ),
+        "lindblad": lambda: evolve_lindblad_csl(None, two_state, rho0, grid, 0.6, checkpoints=cp),
+        "colored-master": lambda: evolve_colored_master(
+            two_state, rho0, grid, exponential_kernel(0.6, 0.2), checkpoints=cp
+        ),
+    }
+    with pytest.raises(ConfigError, match="checkpoints"):
+        runs[entry]()
 
 
 def _naive_trotter(aset, psi0, grid, h0, gamma, w, cp, compensated):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,44 @@ def test_exponential_white_limit():
     horizon = 1.0
     k = exponential_kernel(1.0, 1.0e-3 * horizon)
     assert kernel_double_integral(k, horizon, 0.0) == pytest.approx(horizon, rel=2e-3)
+
+
+def irregular_table(rows=200):
+    """Unevenly spaced lags, D oscillating through zero many times."""
+    rng = np.random.default_rng(7)
+    lags = np.concatenate([[0.0], np.cumsum(rng.uniform(0.001, 0.05, rows - 1))])
+    return lags, np.cos(9.0 * lags) * np.exp(-lags)
+
+
+def table_oracle_40_digits(lags, vals, span):
+    """(G, f) at 40 digits from each segment's exact polynomial antiderivative."""
+    with mpmath.workdps(40):
+        s, g, w = mpmath.mpf(span), mpmath.mpf(0), mpmath.mpf(0)
+        for a, b, va, vb in zip(*(map(mpmath.mpf, c) for c in (lags[:-1], lags[1:], vals[:-1], vals[1:]))):
+            if a >= s:
+                break
+            hi = min(b, s)
+            slope = (vb - va) / (b - a)
+            c0 = va - slope * a  # D(u) = c0 + slope u on this segment
+            g += c0 * (hi - a) + slope * (hi**2 - a**2) / 2
+            w += s * c0 * (hi - a) + (s * slope - c0) * (hi**2 - a**2) / 2 - slope * (hi**3 - a**3) / 3
+        return float(g), float(2 * w)
+
+
+@pytest.mark.parametrize("where", ["zero", "knot", "mid-segment", "last-lag", "beyond"])
+def test_table_transforms_match_40_digit_oracle(where):
+    lags, vals = irregular_table()
+    span = {
+        "zero": 0.0,
+        "knot": lags[57],
+        "mid-segment": 0.5 * (lags[120] + lags[121]),
+        "last-lag": lags[-1],
+        "beyond": 1.7 * lags[-1],
+    }[where]
+    k = tabulated_kernel(1.0, lags, vals)
+    g, f = table_oracle_40_digits(lags, vals, float(span))
+    for got, want in ((kernel_cumulative(k, span, 0.0), g), (kernel_double_integral(k, span, 0.0), f)):
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def test_ensemble_matches_exact_sum_reference_unequal_batches(three_state, psi_t
         three_state, psi_three, grid, white_kernel(0.7), 1037, 17, h0=_H0_MIXING,
         checkpoints=np.array([20, 60]),  # at t0 every batch mean is equal: stderr is pure rounding
     )
-    est = ensemble_to_density(res, mode, batches=100)
+    est = ensemble_to_density(res, mode)
     rhos, se_re, se_im = _fsum_density(res, mode, 100)
     np.testing.assert_allclose(est.rhos, rhos, rtol=1e-12, atol=0)
     np.testing.assert_allclose(est.stderr_re, se_re, rtol=1e-12, atol=0)
