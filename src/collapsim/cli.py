@@ -14,7 +14,6 @@ Exit status: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -47,6 +46,8 @@ TASKS = ("trajectories", "master", "fn-check", "macro-rate", "kernel-diag")
 _REQUIRED = object()  # schema default of a key that must be given
 _BLOCK = ("object", {}, None)
 _DUMP_BLOCK = 64  # trajectories per block of paths.csv, so a large dump streams
+_ROW_BLOCK = 4096  # CSV rows formatted and written at a time
+_QUOTED_CHARS = frozenset(',"\n')  # csv.writer quotes a cell holding one of these
 
 # block -> key -> (JSON type, default or _REQUIRED, inclusive lower bound or None).
 # A one-element list [k] is a list of k, a tuple lists the allowed values, and
@@ -179,14 +180,24 @@ def _parse_macro(raw, base_dir):
     return params, body, macro["displacements"], macro["times"]
 
 
+def _cells(values) -> list:
+    """One column slice as csv.writer(lineterminator="\\n") writes it: ``str`` of each Python value
+    (repr for a float), and a string holding a comma, a quote or a newline quoted, its quotes doubled."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        return list(map(str, values.tolist()))  # number text never needs quotes
+    return [c if _QUOTED_CHARS.isdisjoint(c) else '"' + c.replace('"', '""') + '"' for c in map(str, values)]
+
+
 def _write_csv(path, header, blocks):
-    """Write ``header``, then the rows of each block: equal-length columns built with
-    ``ndarray.tolist()``, so floats print as their repr.  Several blocks let a file stream."""
+    """Write ``header``, then the rows of each block of equal-length columns (ndarrays or lists),
+    ``_ROW_BLOCK`` rows at a time, so memory does not grow with the row count.  Several blocks let
+    a file stream.  The bytes are csv.writer's for rows of two or more cells."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(_cells(header)) + "\n")
         for columns in blocks:
-            writer.writerows(zip(*columns))
+            for lo in range(0, len(columns[0]), _ROW_BLOCK):
+                cells = [_cells(col[lo : lo + _ROW_BLOCK]) for col in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_manifest(out_dir, payload):
@@ -203,8 +214,8 @@ def _run_kernel_diag(out_dir, kernel, grid):
     ts = grid.nodes().tolist()
     white = kernel.family is KernelFamily.WHITE
     columns = [
-        ts,
-        (grid.nodes() - grid.t0).tolist(),
+        grid.nodes(),
+        grid.nodes() - grid.t0,
         [math.nan if white else eval_zero_extended(kernel, t, grid.t0) for t in ts],
         [kernel_cumulative(kernel, t, grid.t0) for t in ts],
         [kernel_double_integral(kernel, t, grid.t0) for t in ts],
@@ -220,8 +231,6 @@ def _dump_paths(out_dir, grid, kernel, m, n, seed):
     factor = None if white else build_covariance(grid, kernel)
     header = ["trajectory", "k", "t_k", *(f"w_{i + 1}" for i in range(m)), *(f"x_{i + 1}" for i in range(m))]
     count = grid.steps if white else grid.num_nodes  # one row per step for white noise, per node otherwise
-    times = np.tile(grid.nodes()[:count], _DUMP_BLOCK).tolist()
-    ks = list(range(count)) * _DUMP_BLOCK
 
     def block(lo):  # draws the block's paths as it writes them, so memory stays bounded in n
         hi = min(lo + _DUMP_BLOCK, n)
@@ -231,8 +240,8 @@ def _dump_paths(out_dir, grid, kernel, m, n, seed):
             batch = sample_paths(factor, m, hi - lo, seed, lo)
         w = batch.w.transpose(1, 0, 2).reshape(m, -1)
         x = batch.x[:, :, :count].transpose(1, 0, 2).reshape(m, -1)
-        index = np.repeat(np.arange(lo, hi), count)
-        return [index.tolist(), ks[: index.size], times[: index.size], *w.tolist(), *x.tolist()]
+        ks = np.tile(np.arange(count), hi - lo)
+        return [np.repeat(np.arange(lo, hi), count), ks, grid.nodes()[ks], *w, *x]
 
     _write_csv(os.path.join(out_dir, "paths.csv"), header, map(block, range(0, n, _DUMP_BLOCK)))
     return ["paths.csv"]
@@ -245,8 +254,7 @@ def _run_trajectories(out_dir, system, grid, kernel, ens, red):
         aset, psi0, grid, kernel, n, seed, h0=h0, method="auto",
         checkpoints=checkpoint_indices(grid, ens["checkpoints"]),
     )
-    labels = {g: grp.label for g, grp in enumerate(aset.outcome_groups())}
-    labels[UNDECIDED] = "undecided"
+    labels = np.array([*(grp.label for grp in aset.outcome_groups()), "undecided"], dtype=object)
     per_cp = np.stack(
         [classify_outcomes(result, aset, threshold, checkpoint=j) for j in range(len(result.times))],
         axis=1,
@@ -255,20 +263,19 @@ def _run_trajectories(out_dir, system, grid, kernel, ens, red):
     header = ["trajectory", "t", "log_weight", *(f"p_{a + 1}" for a in range(result.dim)), "dominant_outcome"]
     probs = (np.abs(result.amps) ** 2).reshape(-1, result.dim).T
     columns = [
-        np.repeat(np.arange(result.n), len(result.times)).tolist(),
-        np.tile(result.times, result.n).tolist(),
-        result.log_weights.ravel().tolist(),
-        *probs.tolist(),
-        [labels[c] for c in per_cp.ravel().tolist()],
+        np.repeat(np.arange(result.n), len(result.times)),
+        np.tile(result.times, result.n),
+        result.log_weights.ravel(),
+        *probs,
+        labels[np.where(per_cp == UNDECIDED, len(labels) - 1, per_cp).ravel()],
     ]
     _write_csv(os.path.join(out_dir, "trajectories.csv"), header, [columns])
     artifacts = ["trajectories.csv"]
 
     report = born_frequencies(result, aset, psi0, threshold, min_decided=red["min_decided"])
-    groups = len(report.labels)
     stat_columns = [
-        report.labels, report.born.tolist(), report.frequency.tolist(), report.stderr.tolist(),
-        [report.n_eff] * groups, [report.undecided_fraction] * groups,
+        report.labels, report.born, report.frequency, report.stderr,
+        np.full(len(report.labels), report.n_eff), np.full(len(report.labels), report.undecided_fraction),
     ]
     _write_csv(
         os.path.join(out_dir, "statistics.csv"),
@@ -290,13 +297,13 @@ def _run_master(out_dir, system, grid, kernel, ncp):
     else:
         path = evolve_colored_master(aset, rho0, grid, kernel, checkpoints=cp)
     d, ncp = rho0.dim, len(path.times)
-    zeros = [0.0] * (ncp * d * d)
+    zeros = np.zeros(ncp * d * d)
     columns = [
-        np.repeat(path.times, d * d).tolist(),
-        np.tile(np.repeat(np.arange(d), d), ncp).tolist(),
-        np.tile(np.arange(d), d * ncp).tolist(),
-        path.rhos.real.ravel().tolist(),
-        path.rhos.imag.ravel().tolist(),
+        np.repeat(path.times, d * d),
+        np.tile(np.repeat(np.arange(d), d), ncp),
+        np.tile(np.arange(d), d * ncp),
+        path.rhos.real.ravel(),
+        path.rhos.imag.ravel(),
         zeros,
         zeros,
     ]
@@ -320,14 +327,12 @@ def _run_fn_check(out_dir, kernel, grid, ens, functionals):
 
 
 def _run_macro_rate(out_dir, params, body, displacements, times):
-    origin = np.zeros(3)
-    rates, decays = [], []
-    for dq in displacements:
-        q1 = np.array([dq, 0.0, 0.0])
-        decays += com_offdiag_decay(body, q1, origin, times, params).tolist()
-        rates += macro_damping_rate(body, q1, origin, times, params).tolist()
-    columns = [[dq for dq in displacements for _ in times], times * len(displacements), rates, decays]
-    _write_csv(os.path.join(out_dir, "macro_rate.csv"), ["dQ", "t", "Gamma", "decay_factor"], [columns])
+    def block(dq):  # one row block per displacement, whose decay and rate share one pair bracket
+        q1, origin = np.array([dq, 0.0, 0.0]), np.zeros(3)
+        decay = com_offdiag_decay(body, q1, origin, times, params)
+        return [np.full(len(times), dq), times, macro_damping_rate(body, q1, origin, times, params), decay]
+
+    _write_csv(os.path.join(out_dir, "macro_rate.csv"), ["dQ", "t", "Gamma", "decay_factor"], map(block, displacements))
     return ["macro_rate.csv"]
 
 

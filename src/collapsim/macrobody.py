@@ -50,6 +50,7 @@ SPEED_OF_LIGHT_CM_S = 2.99792458e10
 DEFAULT_ALPHA = 1.0e10  # cm^-2
 DEFAULT_LAMBDA = 1.0e-16  # s^-1
 PADDING_SIGMAS = 8.5  # margin of macro_damping_rate_quadrature's grid, in Gaussian widths
+_PAIR_ROWS = 64  # constituents i per block of the pair bracket's sum
 
 
 @dataclass(frozen=True)
@@ -161,13 +162,15 @@ def _pair_bracket(body: MacroBody, q1: tuple, q2: tuple, alpha: float) -> float:
     dq = np.asarray(q1, dtype=float) - np.asarray(q2, dtype=float)
     if np.all(dq == 0.0):
         return 0.0
-    off = body.offsets
-    rel = off[:, None, :] - off[None, :, :]  # (N, N, 3)
-    r2, s2 = np.sum(rel**2, axis=-1), np.sum((rel + dq) ** 2, axis=-1)
-    kc = (alpha / 4.0) * (2.0 * (rel @ dq) + dq @ dq)  # k (s^2 - r^2) with no cancellation
-    shifted = kc < -1.0
-    sign = np.where(shifted, -1.0, 1.0)
-    return float(-np.sum(sign * np.exp(-(alpha / 4.0) * np.where(shifted, s2, r2)) * np.expm1(-sign * kc)))
+    off, k, total = body.offsets, alpha / 4.0, 0.0
+    for lo in range(0, len(off), _PAIR_ROWS):  # row blocks, so memory grows as N, not N^2
+        rel = off[lo : lo + _PAIR_ROWS, None, :] - off[None, :, :]  # (rows, N, 3)
+        r2, s2 = np.sum(rel**2, axis=-1), np.sum((rel + dq) ** 2, axis=-1)
+        kc = k * (2.0 * (rel @ dq) + dq @ dq)  # k (s^2 - r^2) with no cancellation
+        shifted = kc < -1.0
+        sign = np.where(shifted, -1.0, 1.0)
+        total -= np.sum(sign * np.exp(-k * np.where(shifted, s2, r2)) * np.expm1(-sign * kc))
+    return float(total)
 
 
 def macro_damping_rate(

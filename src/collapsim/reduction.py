@@ -146,15 +146,13 @@ def born_frequencies(
     w = cw.weights
     total = fsum_ordered(w)
     undecided = fsum_ordered(w[outcomes == UNDECIDED]) / total
-    if 1.0 - undecided < min_decided:
-        raise TooManyUndecided(
-            f"cooked decided fraction {1.0 - undecided:.3f} below {min_decided}"
-        )
     decided_mask = outcomes != UNDECIDED
     wd = w[decided_mask]
     od = outcomes[decided_mask]
-    denom = fsum_ordered(wd)
-    n_eff = denom**2 / fsum_ordered(wd**2)
+    denom, square_sum = fsum_ordered(wd), fsum_ordered(wd**2)
+    if square_sum == 0.0 or 1.0 - undecided < min_decided:  # no decided weight leaves no statistics
+        raise TooManyUndecided(f"cooked decided fraction {1.0 - undecided:.3f} is zero or below {min_decided}")
+    n_eff = denom**2 / square_sum
     born = born_weights(psi0, aset)
     freq = np.array([fsum_ordered(wd[od == g]) / denom for g in range(len(labels))])
     stderr = np.sqrt(np.clip(born * (1.0 - born), 0.0, None) / n_eff)

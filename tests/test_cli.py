@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from collapsim import cli
-from collapsim.cli import _DUMP_BLOCK, _SCHEMA, _as_int, _plan, _run_trajectories, main
+from collapsim.cli import _DUMP_BLOCK, _ROW_BLOCK, _SCHEMA, _as_int, _plan, _run_trajectories, _write_csv, main
 from collapsim.dynamics import simulate_ensemble
 from collapsim.errors import ConfigError
 from collapsim.fncheck import fn_validate
@@ -676,6 +676,14 @@ _WRITER_CASES = {
                  "grid": {"t0": 0.0, "t1": 1.0, "steps": 50}, "ensemble": {"trajectories": 300, "master_seed": 5}},
     "macro-rate": {"task": "macro-rate", "macro": {"body": {"lattice_sites": 5, "spacing_cm": 2e-5},
                    "displacements": [0.0, 1e-9, 3e-5], "times": [0.0, 1e-13, 1e12]}},
+    # past the writer's row blocks: trajectories.csv has 400 x 11 = 4,400 rows, and each
+    # 64-trajectory block of paths.csv 64 x 101 = 6,464 rows; both end mid-block
+    "row-block-edges": traj_config(n=400, seed=6, extra={
+        "kernel": {"family": "exponential", "gamma": 1.0, "tau": 0.25},
+        "grid": {"t0": 0.0, "t1": 1.0, "steps": 100},
+        "ensemble": {"trajectories": 400, "master_seed": 6, "checkpoints": 11},
+        "reduction": {"threshold": 0.9, "min_decided": 0.0},
+    }),
 }
 
 
@@ -694,6 +702,47 @@ def test_columnar_csvs_match_a_per_row_reference_writer(tmp_path, case):
     assert written == sorted(p.name for p in ref.glob("*.csv"))
     for name in written:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+_AWKWARD_TEXT = st.text(alphabet=list('ab (.)-é,"\n\r'), max_size=6)
+_AWKWARD_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]), st.floats())
+_AWKWARD_COLUMNS = st.one_of(
+    st.lists(_AWKWARD_FLOATS, min_size=1, max_size=8).map(np.array),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), min_size=1, max_size=8).map(np.array),
+    st.lists(st.one_of(_AWKWARD_TEXT, _AWKWARD_FLOATS.map(np.float64), st.integers(-9, 9).map(np.int64),
+                       st.booleans(), _AWKWARD_FLOATS), min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.lists(_AWKWARD_TEXT, min_size=2, max_size=4),
+    pools=st.lists(_AWKWARD_COLUMNS, min_size=4, max_size=4),
+    rows=st.sampled_from([0, 1, 5, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1]),
+)
+def test_row_block_writer_matches_csv_writer(tmp_path, header, pools, rows):
+    # each column repeats its drawn cells to the row count, as an ndarray or a list
+    columns = [np.resize(pool, rows) if isinstance(pool, np.ndarray) else (pool * rows)[:rows]
+               for pool in pools[: len(header)]]
+    _write_csv(tmp_path / "new.csv", header, [columns, columns])
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for _ in range(2):
+            writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_no_decided_trajectory_exits_3(tmp_path, capsys):
+    # min_decided 0 lets the decided check pass; an empty decided set still has no statistics
+    cfg = traj_config(n=50, extra={"kernel": {"family": "white", "gamma": 1e-3},
+                                   "reduction": {"threshold": 0.99, "min_decided": 0.0}})
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "decided fraction 0.000 is zero" in err and "Traceback" not in err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "started"
 
 
 def test_malformed_body_rows_exit_2_naming_the_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Physical parameters, smeared density, damping rate."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -128,6 +129,38 @@ def test_small_displacement_rate_matches_40_digit_bracket(dq):
         want = float(mpmath.mpf(p.lam) * bracket)  # gamma(t)/gamma = 1 at t = 1 s
     rate = macro_damping_rate(body, np.array([dq, 0.0, 0.0]), ORIGIN, 1.0, p)
     assert rate == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_pair_bracket_row_blocks_match_40_digit_sum():
+    # 130 constituents make blocks of 64, 64 and 2 rows
+    p = MacroParams()
+    body = MacroBody.lattice(130, 1.5e-5)
+    dq = 3.7e-5
+    with mpmath.workdps(40):
+        a = mpmath.mpf(p.alpha) / 4
+        xs = [mpmath.mpf(v) for v in body.offsets[:, 0].tolist()]
+        d = mpmath.mpf(dq)
+        want = float(mpmath.fsum(
+            mpmath.exp(-a * (xi - xj) ** 2) - mpmath.exp(-a * (d + xi - xj) ** 2) for xi in xs for xj in xs
+        ))
+    assert _pair_bracket(body, (dq, 0.0, 0.0), (0.0, 0.0, 0.0), p.alpha) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_pair_bracket_memory_grows_linearly_in_n():
+    # one uncached call's tracemalloc peak: (N, N, 3) temporaries would grow 16x from N = 200
+    # to N = 800, row blocks 4x
+    peaks = {}
+    for n in (200, 800):
+        body = MacroBody.lattice(n, 2.0e-5)
+        _pair_bracket.cache_clear()
+        tracemalloc.start()
+        try:
+            _pair_bracket(body, (3.0e-5, 0.0, 0.0), (0.0, 0.0, 0.0), MacroParams().alpha)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    _pair_bracket.cache_clear()
+    assert peaks[800] < 6 * peaks[200]
 
 
 def test_decay_and_rate_share_one_bracket_per_displacement():

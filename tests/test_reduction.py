@@ -149,6 +149,14 @@ def test_too_many_undecided_raises(two_state, psi_born):
         born_frequencies(res, two_state, psi_born, threshold=0.9, min_decided=0.999)
 
 
+def test_no_decided_trajectory_raises_too_many_undecided(two_state, psi_born):
+    # weak noise leaves every trajectory near its Born weights, so none reaches 0.99
+    res = run_white(two_state, psi_born, 1e-3, 1.0, 50, 50, 5)
+    assert np.all(classify_outcomes(res, two_state, 0.99) == UNDECIDED)
+    with pytest.raises(TooManyUndecided, match="decided fraction 0.000 is zero"):
+        born_frequencies(res, two_state, psi_born, threshold=0.99, min_decided=0.0)
+
+
 def test_decided_fraction_grows_with_horizon(two_state, psi_born):
     # weighted decided fraction at 2T must not fall below the value at T
     # beyond two standard errors (batch means computed here)
