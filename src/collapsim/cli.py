@@ -185,7 +185,9 @@ def _cells(values) -> list:
     (repr for a float), and a string holding a comma, a quote or a newline quoted, its quotes doubled."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
         return list(map(str, values.tolist()))  # number text never needs quotes
-    return [c if _QUOTED_CHARS.isdisjoint(c) else '"' + c.replace('"', '""') + '"' for c in map(str, values)]
+    text = list(map(str, values))  # a label column repeats a few strings: each distinct one is quoted once
+    quoted = {c: c if _QUOTED_CHARS.isdisjoint(c) else '"' + c.replace('"', '""') + '"' for c in set(text)}
+    return list(map(quoted.__getitem__, text))
 
 
 def _write_csv(path, header, blocks):

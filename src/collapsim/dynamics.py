@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, ZeroNorm
 from .hilbert import CommutingSet, initial_state, require_commuting, validate_hamiltonian
-from .kernels import CorrelationKernel, KernelFamily, kernel_double_integral
+from .kernels import CorrelationKernel, KernelFamily, kernel_double_integral, require_strength
 from .noise import (
     NoiseBatch,
     TimeGrid,
@@ -77,7 +77,6 @@ class EnsembleResult:
     """
 
     grid: TimeGrid
-    checkpoint_idx: np.ndarray
     times: np.ndarray
     amps: np.ndarray  # (n, ncp, d)
     log_weights: np.ndarray  # (n, ncp)
@@ -238,8 +237,7 @@ def _single(method, aset, psi0, grid, h0, checkpoints, gamma, kernel, realizatio
     x_cp = realization.x[:, :, cp_idx]
     amps, logw = chunk(realization.kind, realization.w, x_cp)
     return EnsembleResult(
-        grid, cp_idx, grid.nodes()[cp_idx], amps, logw, x_cp,
-        realization.master_seed, method, realization.index,
+        grid, grid.nodes()[cp_idx], amps, logw, x_cp, realization.master_seed, method, realization.index
     )
 
 
@@ -257,6 +255,7 @@ def evolve_csl_white(
     checkpoints=None,
 ) -> EnsembleResult:
     """Stratonovich Trotter propagation of one white-noise trajectory."""
+    require_strength(gamma)
     if realization.kind != "increments":
         raise ConfigError("evolve_csl_white needs a white (increment-kind) realization")
     return _single("trotter_white", aset, psi0, grid, h0, checkpoints, gamma, None, realization)
@@ -336,19 +335,16 @@ def functional_derivative_probe(
     interior bump and against (1/2) A_j psi(t) when the bump sits exactly at
     the endpoint of a white path (the delta then straddles the boundary).
     Bumps strictly beyond the evaluation time must produce the zero vector.
+    Both runs take the solver that "auto" picks for ``kernel``.
     """
     if h0 is not None:
         require_commuting(h0, aset)
     eval_index = grid.steps if eval_index is None else int(eval_index)
     cp = np.array([0, eval_index]) if eval_index != 0 else np.array([0])
-
-    def run(rz):
-        if rz.kind == "increments" and kernel.family is KernelFamily.WHITE:
-            return evolve_csl_white(h0, aset, psi0, grid, kernel.gamma, rz, checkpoints=cp)
-        return evolve_colored_commuting(aset, psi0, grid, kernel, rz, h0=h0, checkpoints=cp)
-
-    base = run(realization)
-    pert = run(bump_realization(realization, grid, s_index, process, eps))
+    base, pert = (
+        _single("auto", aset, psi0, grid, h0, cp, kernel.gamma, kernel, rz)
+        for rz in (realization, bump_realization(realization, grid, s_index, process, eps))
+    )
     raw_base = _raw_vector(base, -1)
     raw_pert = _raw_vector(pert, -1)
     estimate = (raw_pert - raw_base) / eps
@@ -414,6 +410,4 @@ def simulate_ensemble(
         amps[lo:hi], logw[lo:hi] = chunk(batch.kind, batch.w, x_cp)
         x_out[lo:hi] = x_cp
 
-    return EnsembleResult(
-        grid, cp_idx, grid.nodes()[cp_idx], amps, logw, x_out, master_seed, method, start_index
-    )
+    return EnsembleResult(grid, grid.nodes()[cp_idx], amps, logw, x_out, master_seed, method, start_index)

@@ -100,10 +100,10 @@ class MacroBody:
         return self.offsets.shape[0]
 
     @classmethod
-    def lattice(cls, n: int, spacing: float, axis: int = 0) -> "MacroBody":
-        """n constituents along one axis, ``spacing`` cm apart, centered."""
+    def lattice(cls, n: int, spacing: float) -> "MacroBody":
+        """n constituents along the x axis, ``spacing`` cm apart, centered."""
         off = np.zeros((n, 3))
-        off[:, axis] = spacing * (np.arange(n) - 0.5 * (n - 1))
+        off[:, 0] = spacing * (np.arange(n) - 0.5 * (n - 1))
         return cls(off)
 
     @classmethod

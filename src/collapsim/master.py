@@ -3,15 +3,15 @@
 These are the oracles the stochastic ensembles are checked against.  Because
 the preferred-basis operators are diagonal, the double commutator collapses
 to an elementwise weight, [A_i, [A_i, rho]]_{ab} = (a_ia - a_ib)^2 rho_ab,
-so both integrators reduce to RK4 on
+so the master equation is one RK4 driver with a rate,
 
-    white:    drho/dt = -i [H0, rho] - (gamma/2) W . rho
-    colored:  drho/dt = -gamma G(t) W . rho          (H0 absent by scope)
+    drho/dt = -i [H0, rho] - rate(t) W . rho,   rate(t) = gamma G(t),
 
-with W[a, b] = sum_i (a_ia - a_ib)^2 and "." elementwise.  The colored
-integrator consumes the analytic cumulative G(t) rather than re-quadrature
-per step, which removes a discretization axis from every comparison.  Both
-record rho at ``noise.checkpoint_schedule(grid, checkpoints)`` and take no
+with W[a, b] = sum_i (a_ia - a_ib)^2 and "." elementwise.  White noise is
+the member with G = 1/2 (H0 allowed); colored noise uses the analytic
+cumulative G(t) rather than re-quadrature per step, which removes a
+discretization axis from every comparison (H0 absent by scope).  The driver
+records rho at ``noise.checkpoint_schedule(grid, checkpoints)`` and takes no
 step past the last checkpoint.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateEnsemble, StepSizeRejected
 from .hilbert import CommutingSet, DensityMatrix, validate_hamiltonian
-from .kernels import CorrelationKernel, kernel_cumulative, kernel_double_integral
+from .kernels import CorrelationKernel, kernel_cumulative, kernel_double_integral, require_strength
 from .noise import TimeGrid, checkpoint_schedule
 
 __all__ = [
@@ -75,6 +75,22 @@ def _rk4_density(rho0, grid, rhs, cp_idx):
     return out
 
 
+def _evolve_master(h0, aset: CommutingSet, rho0: DensityMatrix, grid: TimeGrid, rate, checkpoints):
+    """RK4 on drho/dt = -i [H0, rho] - rate(t) W . rho, recording rho at the checkpoints."""
+    rho0.validate()
+    cp_idx = checkpoint_schedule(grid, checkpoints)
+    w = aset.pairwise_gap_sq()
+    h0m = validate_hamiltonian(h0, rho0.dim) if h0 is not None else None
+
+    def rhs(rho, t):
+        out = -rate(t) * (w * rho)
+        if h0m is not None:
+            out = out - 1j * (h0m @ rho - rho @ h0m)
+        return out
+
+    return DensityPath(grid.nodes()[cp_idx], _rk4_density(rho0.rho, grid, rhs, cp_idx))
+
+
 def evolve_lindblad_csl(
     h0,
     aset: CommutingSet,
@@ -83,20 +99,9 @@ def evolve_lindblad_csl(
     gamma: float,
     checkpoints=None,
 ) -> DensityPath:
-    """White-noise master equation, 4th-order explicit stepping."""
-    rho0.validate()
-    cp_idx = checkpoint_schedule(grid, checkpoints)
-    w = aset.pairwise_gap_sq()
-    h0m = validate_hamiltonian(h0, rho0.dim) if h0 is not None else None
-
-    def rhs(rho, t):
-        out = -(0.5 * gamma) * (w * rho)
-        if h0m is not None:
-            out = out - 1j * (h0m @ rho - rho @ h0m)
-        return out
-
-    rhos = _rk4_density(rho0.rho, grid, rhs, cp_idx)
-    return DensityPath(grid.nodes()[cp_idx], rhos)
+    """White-noise master equation: the rate is gamma G(t) with G = 1/2."""
+    require_strength(gamma)
+    return _evolve_master(h0, aset, rho0, grid, lambda t: 0.5 * gamma, checkpoints)
 
 
 def evolve_colored_master(
@@ -107,23 +112,15 @@ def evolve_colored_master(
     checkpoints=None,
     kernel_t0: float | None = None,
 ) -> DensityPath:
-    """Colored master equation (Hamiltonian absent by scope).
+    """Colored master equation (Hamiltonian absent by scope): the rate is gamma G(t).
 
     kernel_t0 is where the noise history starts; it defaults to grid.t0 and
     may be -inf for the closed-form families (stationary long-history limit).
     """
-    rho0.validate()
-    cp_idx = checkpoint_schedule(grid, checkpoints)
-    w = aset.pairwise_gap_sq()
     t0 = grid.t0 if kernel_t0 is None else kernel_t0
-    gamma = kernel.gamma
-
-    def rhs(rho, t):
-        g = kernel_cumulative(kernel, t, t0)
-        return -(gamma * g) * (w * rho)
-
-    rhos = _rk4_density(rho0.rho, grid, rhs, cp_idx)
-    return DensityPath(grid.nodes()[cp_idx], rhos)
+    return _evolve_master(
+        None, aset, rho0, grid, lambda t: kernel.gamma * kernel_cumulative(kernel, t, t0), checkpoints
+    )
 
 
 def offdiag_analytic(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, KernelNotPSD, UnsupportedPointwiseEval
-from .kernels import CorrelationKernel, KernelFamily, eval_zero_extended
+from .kernels import CorrelationKernel, KernelFamily, eval_zero_extended, require_strength
 
 __all__ = [
     "TimeGrid",
@@ -163,11 +163,9 @@ def child_generator(master_seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CovarianceFactor:
-    """Discretized covariance gamma * D(t_k, t_l) and its Cholesky factor."""
+    """Cholesky factor L of the discretized covariance gamma * D(t_k, t_l) + jitter * I."""
 
     grid: TimeGrid
-    kernel: CorrelationKernel
-    cov: np.ndarray
     cholesky: np.ndarray
     jitter: float
 
@@ -184,8 +182,7 @@ def build_covariance(grid: TimeGrid, kernel: CorrelationKernel) -> CovarianceFac
             "white noise uses sample_white_increments, not a node covariance"
         )
     t = grid.nodes()
-    cov = kernel.gamma * eval_zero_extended(kernel, t[:, None], t[None, :])
-    cov = 0.5 * (cov + cov.T)  # symmetrize away representation noise
+    cov = kernel.gamma * eval_zero_extended(kernel, t[:, None], t[None, :])  # exactly symmetric: D(|t_k - t_l|)
     scale = float(np.max(np.diag(cov)))
     eye = np.eye(grid.num_nodes)
     for rel in _JITTERS:
@@ -194,7 +191,7 @@ def build_covariance(grid: TimeGrid, kernel: CorrelationKernel) -> CovarianceFac
             chol = np.linalg.cholesky(cov + jitter * eye)
         except np.linalg.LinAlgError:
             continue
-        return CovarianceFactor(grid, kernel, cov, chol, jitter)
+        return CovarianceFactor(grid, chol, jitter)
     raise KernelNotPSD(
         f"covariance for {kernel.family.value} kernel not factorizable on "
         f"{grid.num_nodes} nodes even with jitter {_JITTERS[-1]:.0e} * diag"
@@ -264,6 +261,7 @@ def sample_white_increments(
     start_index: int = 0,
 ) -> NoiseBatch:
     """Draw n white realizations: independent per-step values ~ N(0, gamma/dt)."""
+    require_strength(gamma)
     z = _standard_normals((num_processes, grid.steps), n, master_seed, start_index)
     w = z * math.sqrt(gamma / grid.dt)
     return NoiseBatch("increments", w, left_cumulative(w, grid.dt), master_seed, start_index)

@@ -38,6 +38,7 @@ __all__ = [
 
 UNDECIDED = -1
 N_EFF_FLOOR = 10.0
+KS_ALPHA = 0.01  # level of the Kolmogorov critical distances
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -50,13 +51,12 @@ class CookedWeights:
     """Self-normalized cooking weights at one checkpoint."""
 
     weights: np.ndarray  # normalized to mean 1
-    log_raw: np.ndarray  # log ||psi_raw||^2 per trajectory
     n_eff: float  # (sum w)^2 / sum w^2
     mean_raw: float  # mean of the unnormalized weights (should sit near 1)
     mean_raw_stderr: float
 
 
-def cook_weights(result, checkpoint: int = -1, n_eff_floor: float = N_EFF_FLOOR) -> CookedWeights:
+def cook_weights(result, checkpoint: int = -1) -> CookedWeights:
     """Cooking weights ~ ||psi_raw(t)||^2, normalized to mean one.
 
     The effective sample size is computed in the log domain,
@@ -77,11 +77,9 @@ def cook_weights(result, checkpoint: int = -1, n_eff_floor: float = N_EFF_FLOOR)
         mean_raw = math.inf
     var = fsum_ordered((scaled - mean_scaled) ** 2) / max(n - 1, 1)
     stderr = mean_raw * math.sqrt(var / n) / mean_scaled
-    if n_eff < n_eff_floor:
-        raise DegenerateEnsemble(
-            f"effective sample size {n_eff:.2f} below floor {n_eff_floor}"
-        )
-    return CookedWeights(weights, lw, n_eff, mean_raw, stderr)
+    if n_eff < N_EFF_FLOOR:
+        raise DegenerateEnsemble(f"effective sample size {n_eff:.2f} below floor {N_EFF_FLOOR}")
+    return CookedWeights(weights, n_eff, mean_raw, stderr)
 
 
 def require_threshold(threshold: float, where: str = "decision threshold") -> None:
@@ -126,23 +124,18 @@ class BornReport:
 
 
 def born_frequencies(
-    result,
-    aset: CommutingSet,
-    psi0,
-    threshold: float = 0.99,
-    checkpoint: int = -1,
-    min_decided: float = 0.95,
+    result, aset: CommutingSet, psi0, threshold: float = 0.99, min_decided: float = 0.95
 ) -> BornReport:
-    """Weighted outcome frequencies with binomial standard errors.
+    """Weighted outcome frequencies at the last checkpoint, with binomial standard errors.
 
     Frequencies are conditional on the decided trajectories; the standard
     error is binomial under the reference weights at the decided effective
     sample size, sqrt(p0 (1 - p0) / n_eff).
     """
     require_min_decided(min_decided)
-    cw = cook_weights(result, checkpoint)
+    cw = cook_weights(result)
     labels = [g.label for g in aset.outcome_groups()]
-    outcomes = classify_outcomes(result, aset, threshold, checkpoint)
+    outcomes = classify_outcomes(result, aset, threshold)
     w = cw.weights
     total = fsum_ordered(w)
     undecided = fsum_ordered(w[outcomes == UNDECIDED]) / total
@@ -159,9 +152,9 @@ def born_frequencies(
     return BornReport(labels, born, freq, stderr, n_eff, undecided)
 
 
-def ks_critical_value(n_eff: float, alpha: float = 0.01) -> float:
-    """Asymptotic Kolmogorov critical distance at level alpha for n_eff samples."""
-    return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n_eff)
+def ks_critical_value(n_eff: float) -> float:
+    """Asymptotic Kolmogorov critical distance at level ``KS_ALPHA`` for n_eff samples."""
+    return math.sqrt(-0.5 * math.log(KS_ALPHA / 2.0)) / math.sqrt(n_eff)
 
 
 @dataclass
@@ -196,16 +189,8 @@ def _weighted_ks(x, w, cdf) -> float:
     return float(np.max(np.maximum(np.abs(cum - model), np.abs(lower - model))))
 
 
-def cooked_x_distribution(
-    result,
-    aset: CommutingSet,
-    psi0,
-    kernel: CorrelationKernel,
-    checkpoint: int = -1,
-    process: int = 0,
-    alpha: float = 0.01,
-) -> XDistributionReport:
-    """Compare the cooked x(t) sample with the two-component Gaussian mixture.
+def cooked_x_distribution(result, aset: CommutingSet, psi0, kernel: CorrelationKernel) -> XDistributionReport:
+    """Compare the cooked x(t) sample at the last checkpoint with the two-component Gaussian mixture.
 
     For a single preferred-basis operator the cooked distribution of the
     integrated noise is the mixture of Gaussians centered at 2 a_g gamma f(t)
@@ -216,9 +201,9 @@ def cooked_x_distribution(
     """
     if aset.num_ops != 1:
         raise ConfigError("cooked_x_distribution is defined for a single operator")
-    cw = cook_weights(result, checkpoint)
-    x = result.x[:, process, checkpoint]
-    t = float(result.times[checkpoint])
+    cw = cook_weights(result)
+    x = result.x[:, 0, -1]
+    t = float(result.times[-1])
     t0 = float(result.grid.t0)
     gf = kernel.gamma * kernel_double_integral(kernel, t, t0)
     if gf <= 0.0:
@@ -238,8 +223,8 @@ def cooked_x_distribution(
         component_weights=comp_w,
         sigma=sigma,
         ks_distance=dist,
-        ks_critical=ks_critical_value(cw.n_eff, alpha),
+        ks_critical=ks_critical_value(cw.n_eff),
         raw_ks_distance=raw_dist,
-        raw_ks_critical=ks_critical_value(float(x.size), alpha),
+        raw_ks_critical=ks_critical_value(float(x.size)),
         n_eff=cw.n_eff,
     )

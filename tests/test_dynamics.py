@@ -403,13 +403,13 @@ def test_prefix_shard_and_batch_of_one_invariance(family):
         assert np.array_equal(part.log_weights, full.log_weights[rows])
         assert np.array_equal(part.x, full.x[rows])
 
-    # a single trajectory is a batch of one; a 1-row matmul takes a different
-    # BLAS path than a 512-row chunk, so rows agree to rounding, not bit for
-    # bit (max deviation about 2e-16 exact_commuting and 3e-15 trotter_white
-    # with OpenBLAS 0.3 on x86-64).  The colored ensemble reads x from the
-    # checkpoint projection z @ B.T and the single trajectory from its full
-    # path, so x agrees to rounding too (2.2e-16 on these rows, 8.9e-16 over
-    # all 1100).
+    # a single trajectory is a batch of one.  A white Trotter row is bit-identical
+    # to its ensemble row (test_rows_do_not_depend_on_chunk_width holds that
+    # exactly).  A colored row agrees to rounding, not bit for bit: the ensemble
+    # reads x from the checkpoint projection z @ B.T and the single trajectory
+    # from its full path (x within 2.2e-16 on these rows, 8.9e-16 over all 1100;
+    # amps within about 2e-16, OpenBLAS 0.3 on x86-64).  The tolerances below
+    # cover both families.
     if family == "white":
         paths = sample_white_increments(grid, kernel.gamma, aset.num_ops, 3, seed, start_index=700)
         recs = [evolve_csl_white(h0, aset, psi0, grid, kernel.gamma, rz, checkpoints=cp) for rz in paths]
@@ -479,6 +479,23 @@ def test_bad_checkpoint_schedule_raises_config_error(entry, schedule, two_state,
     }
     with pytest.raises(ConfigError, match="checkpoints"):
         runs[entry]()
+
+
+@pytest.mark.parametrize("gamma", [-0.5, math.nan, math.inf])
+def test_white_gamma_must_be_finite_and_nonnegative(gamma, two_state, psi_born):
+    # one rule for every white entry point.  A negative strength drives |rho_01|
+    # above its initial bound (0.48 -> 1.30 at gamma = -0.5), which no density
+    # matrix can do, and the sampler would draw NaN paths or hit a math domain
+    # error; gamma = 0 (unitary) stays valid
+    grid = TimeGrid(0.0, 1.0, 50)
+    rho0 = DensityMatrix(pure_density(psi_born))
+    rz = sample_white_increments(grid, 0.5, 1, 1, master_seed=2)
+    with pytest.raises(ConfigError, match="gamma"):
+        evolve_lindblad_csl(None, two_state, rho0, grid, gamma)
+    with pytest.raises(ConfigError, match="gamma"):
+        evolve_csl_white(None, two_state, psi_born, grid, gamma, rz)
+    with pytest.raises(ConfigError, match="gamma"):
+        sample_white_increments(grid, gamma, 1, 1, master_seed=2)
 
 
 def _naive_trotter(aset, psi0, grid, h0, gamma, w, cp, compensated):

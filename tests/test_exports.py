@@ -1,9 +1,11 @@
 """Public surface: every exported name exists, so no stale export survives a deletion.
 
-The benchmark's tracer names functions too; they must exist as well.
+The benchmark's tracer names functions too; they must exist as well, and the
+calls the benchmark makes must still bind to their signatures.
 """
 
 import importlib
+import inspect
 import importlib.util
 import pkgutil
 from pathlib import Path
@@ -41,3 +43,21 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"collapsim.{layer}"), name, None))
     ]
     assert wanted and not missing, f"bench/tracer.py traces missing functions: {missing}"
+
+
+# the library calls in bench/child.py and bench/workloads.py, as
+# (module, function, number of positional arguments, keyword names)
+BENCH_CALLS = [
+    ("dynamics", "simulate_ensemble", 6, ("checkpoints", "workers")),
+    ("dynamics", "simulate_ensemble", 6, ("h0", "checkpoints")),
+    ("kernels", "kernel_from_config", 1, ()),
+    ("master", "ensemble_to_density", 2, ()),
+    ("master", "evolve_lindblad_csl", 5, ("checkpoints",)),
+]
+
+
+@pytest.mark.parametrize("module, name, positional, keywords", BENCH_CALLS)
+def test_bench_calls_still_bind(module, name, positional, keywords):
+    # a dropped or renamed argument fails here, not first in a traced benchmark run
+    fn = getattr(importlib.import_module(f"collapsim.{module}"), name)
+    inspect.signature(fn).bind(*range(positional), **dict.fromkeys(keywords))

@@ -53,13 +53,18 @@ def test_checkpoint_indices_cover_ends():
 
 def test_covariance_entries_frozen():
     # high-precision oracle: (1/sqrt(2 pi)) e^{-2} = 0.05399096651318806
+    # checked on L L^T off the diagonal, which the jitter (on the diagonal) leaves alone;
+    # both mirror entries, so the sampled covariance is symmetric to the same tolerance
     grid = TimeGrid(0.0, 2.0, 2)
-    factor = build_covariance(grid, gaussian_kernel(1.0, 1.0))
-    assert factor.cov[0, 2] == pytest.approx(0.05399096651318806, rel=1e-12)
-    assert np.array_equal(factor.cov, factor.cov.T)
-    k = exponential_kernel(2.0, 0.25)
-    fe = build_covariance(grid, k)
-    assert fe.cov[1, 1] == pytest.approx(2.0 / (2.0 * 0.25), rel=1e-14)
+    chol = build_covariance(grid, gaussian_kernel(1.0, 1.0)).cholesky
+    cov = chol @ chol.T
+    assert cov[0, 2] == pytest.approx(0.05399096651318806, rel=1e-12)
+    assert cov[2, 0] == pytest.approx(0.05399096651318806, rel=1e-12)
+    # exponential: gamma e^{-|lag|/tau} / (2 tau) at lag 1 is 4 e^{-4}
+    chol = build_covariance(grid, exponential_kernel(2.0, 0.25)).cholesky
+    cov = chol @ chol.T
+    assert cov[0, 1] == pytest.approx(4.0 * math.exp(-4.0), rel=1e-14)
+    assert cov[1, 0] == pytest.approx(4.0 * math.exp(-4.0), rel=1e-14)
 
 
 def test_covariance_white_bypasses():
@@ -178,9 +183,10 @@ def test_colored_sample_moments():
     for k in range(w.shape[1]):
         bound = 4.0 * w[:, k].std(ddof=1) / math.sqrt(n)
         assert abs(w[:, k].mean()) <= bound
-    # entrywise covariance within 5 standard errors of C (SE computed here)
+    # entrywise covariance within 5 standard errors of C = L L^T, the covariance
+    # that is sampled (SE computed here)
     cov_hat = np.cov(w.T, ddof=1)
-    c = factor.cov
+    c = factor.cholesky @ factor.cholesky.T
     se = np.sqrt((np.outer(np.diag(c), np.diag(c)) + c**2) / n)
     assert np.all(np.abs(cov_hat - c) <= 5.0 * se)
 
