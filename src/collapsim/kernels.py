@@ -100,10 +100,10 @@ class CorrelationKernel:
         return float(self.table_lags[-1])
 
 
-def require_strength(gamma: float, where: str = "gamma") -> None:
-    """A ConfigError naming ``where`` unless the white-noise strength gamma is finite and >= 0."""
+def require_strength(gamma: float) -> None:
+    """A ConfigError naming gamma unless the white-noise strength is finite and >= 0."""
     if not 0.0 <= gamma < math.inf:
-        raise ConfigError(f"{where} must be finite and >= 0, got {gamma!r}")
+        raise ConfigError(f"gamma must be finite and >= 0, got {gamma!r}")
 
 
 def white_kernel(gamma: float) -> CorrelationKernel:

@@ -56,13 +56,13 @@ class CookedWeights:
     mean_raw_stderr: float
 
 
-def cook_weights(result, checkpoint: int = -1) -> CookedWeights:
-    """Cooking weights ~ ||psi_raw(t)||^2, normalized to mean one.
+def cook_weights(result) -> CookedWeights:
+    """Cooking weights ~ ||psi_raw(t)||^2 at the last checkpoint, normalized to mean one.
 
     The effective sample size is computed in the log domain,
     n_eff = exp(2 LSE(lw) - LSE(2 lw)), and guards downstream statistics.
     """
-    lw = np.asarray(result.log_weights[:, checkpoint], dtype=float)
+    lw = np.asarray(result.log_weights[:, -1], dtype=float)
     n = lw.size
     if n < 1:
         raise ConfigError("cook_weights needs at least one record")

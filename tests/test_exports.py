@@ -4,6 +4,7 @@ The benchmark's tracer names functions too; they must exist as well, and the
 calls the benchmark makes must still bind to their signatures.
 """
 
+import ast
 import importlib
 import inspect
 import importlib.util
@@ -45,19 +46,68 @@ def test_every_traced_function_exists():
     assert wanted and not missing, f"bench/tracer.py traces missing functions: {missing}"
 
 
-# the library calls in bench/child.py and bench/workloads.py, as
-# (module, function, number of positional arguments, keyword names)
-BENCH_CALLS = [
-    ("dynamics", "simulate_ensemble", 6, ("checkpoints", "workers")),
-    ("dynamics", "simulate_ensemble", 6, ("h0", "checkpoints")),
-    ("kernels", "kernel_from_config", 1, ()),
-    ("master", "ensemble_to_density", 2, ()),
-    ("master", "evolve_lindblad_csl", 5, ("checkpoints",)),
-]
+def _bench_calls():
+    """Every call in bench/child.py and bench/workloads.py to a name imported from collapsim, as
+    (site, module, function, number of positional arguments, keyword names).  A starred
+    argument must name a tuple literal assigned in the same file, so its length is known."""
+    calls = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        tuples = {
+            target.id: len(node.value.elts)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        imported = {}  # local name -> (collapsim module, attribute or None for a module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "collapsim":
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module == "collapsim" and alias.name in MODULES:
+                        imported[local] = (alias.name, None)
+                    else:
+                        imported[local] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and imported.get(func.id, (None, None))[1]:
+                module, name = imported[func.id]
+            elif (
+                isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in imported and imported[func.value.id][1] is None
+            ):
+                module, name = f"collapsim.{imported[func.value.id][0]}", func.attr
+            else:
+                continue
+            positional = sum(
+                tuples[arg.value.id] if isinstance(arg, ast.Starred) else 1 for arg in node.args
+            )
+            keywords = tuple(kw.arg for kw in node.keywords)
+            assert None not in keywords, f"{path.name}:{node.lineno}: ** arguments cannot be checked"
+            calls.append((f"{path.name}:{node.lineno}:{node.col_offset}", module, name, positional, keywords))
+    return sorted(calls)
 
 
-@pytest.mark.parametrize("module, name, positional, keywords", BENCH_CALLS)
-def test_bench_calls_still_bind(module, name, positional, keywords):
+BENCH_CALLS = _bench_calls()
+
+
+def test_bench_calls_found():
+    # the calls the benchmark's library workload and worker-pool probe make
+    found = {(name, positional, keywords) for _, _, name, positional, keywords in BENCH_CALLS}
+    assert {
+        ("simulate_ensemble", 6, ("checkpoints", "workers")),
+        ("simulate_ensemble", 6, ("h0", "checkpoints")),
+        ("kernel_from_config", 1, ()),
+        ("ensemble_to_density", 2, ()),
+        ("evolve_lindblad_csl", 5, ("checkpoints",)),
+    } <= found
+
+
+@pytest.mark.parametrize("site, module, name, positional, keywords", BENCH_CALLS, ids=[c[0] for c in BENCH_CALLS])
+def test_bench_calls_still_bind(site, module, name, positional, keywords):
     # a dropped or renamed argument fails here, not first in a traced benchmark run
-    fn = getattr(importlib.import_module(f"collapsim.{module}"), name)
+    fn = getattr(importlib.import_module(module), name)
     inspect.signature(fn).bind(*range(positional), **dict.fromkeys(keywords))

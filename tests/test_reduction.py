@@ -171,7 +171,7 @@ def test_decided_fraction_grows_with_horizon(two_state, psi_born):
     fracs, errs = [], []
     for cp in (1, 2):
         labels = classify_outcomes(res, two_state, threshold=0.9, checkpoint=cp)
-        cw = cook_weights(res, checkpoint=cp)
+        cw = cook_weights(dataclasses.replace(res, log_weights=res.log_weights[:, : cp + 1]))
         dec = (labels != UNDECIDED).astype(float)
         fracs.append(fsum_ordered(cw.weights * dec) / fsum_ordered(cw.weights))
         errs.append(weighted_fraction_stderr(cw.weights, dec))
