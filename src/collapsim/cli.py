@@ -4,7 +4,10 @@ One config file = one experiment.  Every block the task reads is checked
 against one schema (unknown keys are rejected), and by the library's own rule
 functions, before anything is written; a manifest is written before any
 result file so partial runs are detectable,
-and every artifact is a CSV with a fixed documented header.  Identical
+and every artifact is a CSV with a fixed documented header.  Task runners
+return their artifacts and ``run`` alone writes them: only the streamed
+paths.csv and macro_rate.csv are computed as they are written, so a numerical
+failure anywhere else leaves only the started manifest.  Identical
 config + seed gives byte-identical CSVs.  ``ensemble.workers`` and ``--workers``
 are validated and change nothing: every run uses one worker.
 
@@ -39,7 +42,7 @@ from .master import evolve_colored_master, evolve_lindblad_csl
 from .noise import TimeGrid, checkpoint_indices, sample_paths, sample_white_increments, build_covariance
 from .dynamics import simulate_ensemble
 from .fncheck import FN_FUNCTIONALS, fn_validate, require_samples
-from .reduction import UNDECIDED, born_frequencies, classify_outcomes, require_min_decided, require_threshold
+from .reduction import born_frequencies, classify_outcomes, require_min_decided, require_threshold
 
 TASKS = ("trajectories", "master", "fn-check", "macro-rate", "kernel-diag")
 
@@ -209,10 +212,11 @@ def _write_manifest(out_dir, payload):
 
 
 # ---------------------------------------------------------------------------
-# task runners (each returns the list of artifact filenames it wrote)
+# task runners: each returns its artifacts as (file name, header, column blocks),
+# and ``run`` writes them; a streamed file's blocks are drawn as it is written
 
 
-def _run_kernel_diag(out_dir, kernel, grid):
+def _run_kernel_diag(kernel, grid):
     ts = grid.nodes().tolist()
     white = kernel.family is KernelFamily.WHITE
     columns = [
@@ -222,17 +226,15 @@ def _run_kernel_diag(out_dir, kernel, grid):
         [kernel_cumulative(kernel, t, grid.t0) for t in ts],
         [kernel_double_integral(kernel, t, grid.t0) for t in ts],
     ]
-    _write_csv(os.path.join(out_dir, "kernel_diag.csv"), ["t", "lag", "D", "G", "f"], [columns])
-    return ["kernel_diag.csv"]
+    return [("kernel_diag.csv", ["t", "lag", "D", "G", "f"], [columns])]
 
 
-def _dump_paths(out_dir, grid, kernel, m, n, seed):
+def _dump_paths(grid, kernel, m, n, seed):
     print(f"collapsim: dumping {n} noise paths ({grid.num_nodes} nodes each); this can be a large file",
           file=sys.stderr)
     white = kernel.family is KernelFamily.WHITE
     factor = None if white else build_covariance(grid, kernel)
     header = ["trajectory", "k", "t_k", *(f"w_{i + 1}" for i in range(m)), *(f"x_{i + 1}" for i in range(m))]
-    count = grid.steps if white else grid.num_nodes  # one row per step for white noise, per node otherwise
 
     def block(lo):  # draws the block's paths as it writes them, so memory stays bounded in n
         hi = min(lo + _DUMP_BLOCK, n)
@@ -240,16 +242,16 @@ def _dump_paths(out_dir, grid, kernel, m, n, seed):
             batch = sample_white_increments(grid, kernel.gamma, m, hi - lo, seed, lo)
         else:
             batch = sample_paths(factor, m, hi - lo, seed, lo)
+        count = batch.w.shape[-1]  # one row per step for white noise, per node otherwise
         w = batch.w.transpose(1, 0, 2).reshape(m, -1)
         x = batch.x[:, :, :count].transpose(1, 0, 2).reshape(m, -1)
         ks = np.tile(np.arange(count), hi - lo)
         return [np.repeat(np.arange(lo, hi), count), ks, grid.nodes()[ks], *w, *x]
 
-    _write_csv(os.path.join(out_dir, "paths.csv"), header, map(block, range(0, n, _DUMP_BLOCK)))
-    return ["paths.csv"]
+    return "paths.csv", header, map(block, range(0, n, _DUMP_BLOCK))
 
 
-def _run_trajectories(out_dir, system, grid, kernel, ens, red):
+def _run_trajectories(system, grid, kernel, ens, red):
     aset, psi0, h0 = system
     n, seed, threshold = ens["trajectories"], ens["master_seed"], red["threshold"]
     result = simulate_ensemble(
@@ -257,11 +259,6 @@ def _run_trajectories(out_dir, system, grid, kernel, ens, red):
         checkpoints=checkpoint_indices(grid, ens["checkpoints"]),
     )
     labels = np.array([*(grp.label for grp in aset.outcome_groups()), "undecided"], dtype=object)
-    per_cp = np.stack(
-        [classify_outcomes(result, aset, threshold, checkpoint=j) for j in range(len(result.times))],
-        axis=1,
-    )
-
     header = ["trajectory", "t", "log_weight", *(f"p_{a + 1}" for a in range(result.dim)), "dominant_outcome"]
     probs = (np.abs(result.amps) ** 2).reshape(-1, result.dim).T
     columns = [
@@ -269,28 +266,21 @@ def _run_trajectories(out_dir, system, grid, kernel, ens, red):
         np.tile(result.times, result.n),
         result.log_weights.ravel(),
         *probs,
-        labels[np.where(per_cp == UNDECIDED, len(labels) - 1, per_cp).ravel()],
+        labels[classify_outcomes(result, aset, threshold).ravel()],  # UNDECIDED (-1) picks the last label
     ]
-    _write_csv(os.path.join(out_dir, "trajectories.csv"), header, [columns])
-    artifacts = ["trajectories.csv"]
-
     report = born_frequencies(result, aset, psi0, threshold, min_decided=red["min_decided"])
     stat_columns = [
         report.labels, report.born, report.frequency, report.stderr,
         np.full(len(report.labels), report.n_eff), np.full(len(report.labels), report.undecided_fraction),
     ]
-    _write_csv(
-        os.path.join(out_dir, "statistics.csv"),
-        ["outcome", "born_weight", "cooked_frequency", "stderr", "n_eff", "undecided_fraction"],
-        [stat_columns],
-    )
-    artifacts.append("statistics.csv")
+    stat_header = ["outcome", "born_weight", "cooked_frequency", "stderr", "n_eff", "undecided_fraction"]
+    artifacts = [("trajectories.csv", header, [columns]), ("statistics.csv", stat_header, [stat_columns])]
     if ens["dump_paths"]:
-        artifacts += _dump_paths(out_dir, grid, kernel, aset.num_ops, n, seed)
+        artifacts.append(_dump_paths(grid, kernel, aset.num_ops, n, seed))
     return artifacts
 
 
-def _run_master(out_dir, system, grid, kernel, ncp):
+def _run_master(system, grid, kernel, ncp):
     aset, psi0, h0 = system
     rho0 = DensityMatrix(pure_density(psi0))
     cp = checkpoint_indices(grid, ncp)
@@ -309,33 +299,23 @@ def _run_master(out_dir, system, grid, kernel, ncp):
         zeros,
         zeros,
     ]
-    _write_csv(
-        os.path.join(out_dir, "density.csv"),
-        ["t", "i", "j", "re", "im", "stderr_re", "stderr_im"],
-        [columns],
-    )
-    return ["density.csv"]
+    return [("density.csv", ["t", "i", "j", "re", "im", "stderr_re", "stderr_im"], [columns])]
 
 
-def _run_fn_check(out_dir, kernel, grid, ens, functionals):
+def _run_fn_check(kernel, grid, ens, functionals):
     reports = [fn_validate(kernel, fn, grid, ens["trajectories"], ens["master_seed"]) for fn in functionals]
     fields = ("kernel_family", "functional", "lhs", "rhs", "diff_stderr", "sigmas")
-    _write_csv(
-        os.path.join(out_dir, "fncheck.csv"),
-        ["kernel", "functional", "lhs", "rhs", "stderr", "sigmas"],
-        [[[getattr(rep, f) for rep in reports] for f in fields]],
-    )
-    return ["fncheck.csv"]
+    header = ["kernel", "functional", "lhs", "rhs", "stderr", "sigmas"]
+    return [("fncheck.csv", header, [[[getattr(rep, f) for rep in reports] for f in fields]])]
 
 
-def _run_macro_rate(out_dir, params, body, displacements, times):
+def _run_macro_rate(params, body, displacements, times):
     def block(dq):  # one row block per displacement, whose decay and rate share one pair bracket
         q1, origin = np.array([dq, 0.0, 0.0]), np.zeros(3)
         decay = com_offdiag_decay(body, q1, origin, times, params)
         return [np.full(len(times), dq), times, macro_damping_rate(body, q1, origin, times, params), decay]
 
-    _write_csv(os.path.join(out_dir, "macro_rate.csv"), ["dQ", "t", "Gamma", "decay_factor"], map(block, displacements))
-    return ["macro_rate.csv"]
+    return [("macro_rate.csv", ["dQ", "t", "Gamma", "decay_factor"], map(block, displacements))]
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +389,9 @@ def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
         "artifacts": [],
     }
     _write_manifest(out_dir, manifest)
-    manifest["artifacts"] = runner(out_dir, *args)
+    for name, header, blocks in runner(*args):
+        _write_csv(os.path.join(out_dir, name), header, blocks)
+        manifest["artifacts"].append(name)
     manifest["status"] = "complete"
     _write_manifest(out_dir, manifest)
     return 0

@@ -183,12 +183,13 @@ def build_covariance(grid: TimeGrid, kernel: CorrelationKernel) -> CovarianceFac
         )
     t = grid.nodes()
     cov = kernel.gamma * eval_zero_extended(kernel, t[:, None], t[None, :])  # exactly symmetric: D(|t_k - t_l|)
-    scale = float(np.max(np.diag(cov)))
-    eye = np.eye(grid.num_nodes)
+    diag = cov.diagonal().copy()
+    scale = float(np.max(diag))
     for rel in _JITTERS:
         jitter = rel * scale
+        np.fill_diagonal(cov, diag + jitter)  # each rung jitters the unjittered matrix, in place
         try:
-            chol = np.linalg.cholesky(cov + jitter * eye)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             continue
         return CovarianceFactor(grid, chol, jitter)

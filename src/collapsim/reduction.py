@@ -94,21 +94,22 @@ def require_min_decided(min_decided: float, where: str = "minimum decided fracti
         raise ConfigError(f"{where} must lie in [0, 1], got {min_decided!r}")
 
 
-def classify_outcomes(
-    result, aset: CommutingSet, threshold: float = 0.99, checkpoint: int = -1
-) -> np.ndarray:
-    """Outcome-group index per trajectory, or UNDECIDED (-1).
+def classify_outcomes(result, aset: CommutingSet, threshold: float = 0.99) -> np.ndarray:
+    """Outcome-group index per trajectory and checkpoint, shape (n, ncp), or UNDECIDED (-1).
 
-    A trajectory is decided when one joint eigenmanifold holds at least
-    ``threshold`` of the physical weight |psi_phys|^2 at the checkpoint.
+    A trajectory is decided at a checkpoint when one joint eigenmanifold holds
+    at least ``threshold`` of the physical weight |psi_phys|^2 there.
     """
     require_threshold(threshold)
     groups = aset.outcome_groups()
-    probs = np.abs(result.amps[:, checkpoint, :]) ** 2  # (n, d)
-    gp = np.stack([probs[:, g.indices].sum(axis=1) for g in groups], axis=1)  # (n, G)
-    best = np.argmax(gp, axis=1)
-    decided = gp[np.arange(gp.shape[0]), best] >= threshold
-    return np.where(decided, best, UNDECIDED)
+    n, ncp = result.amps.shape[:2]
+    out = np.empty((n, ncp), dtype=np.intp)
+    for j in range(ncp):  # one checkpoint at a time keeps the temporaries at (n, d)
+        probs = np.abs(result.amps[:, j, :]) ** 2
+        gp = np.stack([probs[:, g.indices].sum(axis=1) for g in groups], axis=1)  # (n, G)
+        best = np.argmax(gp, axis=1)
+        out[:, j] = np.where(gp[np.arange(n), best] >= threshold, best, UNDECIDED)
+    return out
 
 
 @dataclass
@@ -135,7 +136,7 @@ def born_frequencies(
     require_min_decided(min_decided)
     cw = cook_weights(result)
     labels = [g.label for g in aset.outcome_groups()]
-    outcomes = classify_outcomes(result, aset, threshold)
+    outcomes = classify_outcomes(result, aset, threshold)[:, -1]
     w = cw.weights
     total = fsum_ordered(w)
     undecided = fsum_ordered(w[outcomes == UNDECIDED]) / total

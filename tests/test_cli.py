@@ -598,8 +598,8 @@ def _reference_artifacts(task, args, out):
                                 checkpoints=checkpoint_indices(grid, ens["checkpoints"]))
         labels = {g: grp.label for g, grp in enumerate(aset.outcome_groups())}
         labels[UNDECIDED] = "undecided"
-        dominant = [classify_outcomes(res, aset, red["threshold"], checkpoint=j) for j in range(len(res.times))]
-        rows = [(i, t, res.log_weights[i, j], *(np.abs(res.amps[i, j]) ** 2), labels[int(dominant[j][i])])
+        dominant = classify_outcomes(res, aset, red["threshold"])
+        rows = [(i, t, res.log_weights[i, j], *(np.abs(res.amps[i, j]) ** 2), labels[int(dominant[i, j])])
                 for i in range(n) for j, t in enumerate(res.times)]
         p_cols = [f"p_{a + 1}" for a in range(res.dim)]
         _reference_csv(out / "trajectories.csv", ["trajectory", "t", "log_weight", *p_cols, "dominant_outcome"], rows)
@@ -702,6 +702,8 @@ def test_columnar_csvs_match_a_per_row_reference_writer(tmp_path, case):
     assert written == sorted(p.name for p in ref.glob("*.csv"))
     for name in written:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *manifest["artifacts"]])
 
 
 _AWKWARD_TEXT = st.text(alphabet=list('ab (.)-é,"\n\r'), max_size=6)
@@ -743,6 +745,7 @@ def test_no_decided_trajectory_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "decided fraction 0.000 is zero" in err and "Traceback" not in err
     assert json.loads((out / "manifest.json").read_text())["status"] == "started"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]  # a numerical failure leaves no result file
 
 
 def test_malformed_body_rows_exit_2_naming_the_line(tmp_path, capsys):

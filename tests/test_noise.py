@@ -1,6 +1,7 @@
 """Sampling moments, reproducibility, and the integrated-process law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from collapsim import (
     tabulated_kernel,
     white_kernel,
 )
+from collapsim import noise
 from collapsim.errors import ConfigError, KernelNotPSD, UnsupportedPointwiseEval
 from collapsim.kernels import kernel_double_integral
 from collapsim.noise import (
@@ -77,6 +79,36 @@ def test_covariance_not_psd_raises():
     k = tabulated_kernel(1.0, [0.0, 0.5, 1.0], [1.0, -0.9, 0.8])
     with pytest.raises(KernelNotPSD):
         build_covariance(TimeGrid(0.0, 4.0, 128), k)
+
+
+@pytest.mark.parametrize(
+    "kernel, bound",
+    [
+        (gaussian_kernel(1.0, 0.3), 3.2),  # evaluating a closed form holds three N^2 arrays
+        (tabulated_kernel(1.0, [0.0, 0.5, 1.0], [1.0, 0.5, 0.0]), 2.2),
+    ],
+    ids=["gaussian", "tent-table"],
+)
+def test_covariance_peak_memory(kernel, bound):
+    # the jitter goes onto the matrix's diagonal in place: no identity, no jittered copy
+    tracemalloc.start()
+    try:
+        factor = build_covariance(TimeGrid(0.0, 2.0, 1023), kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * factor.cholesky.nbytes
+
+
+def test_covariance_jitter_rungs_do_not_accumulate(monkeypatch):
+    # a failed rung (a negative jitter zeroes the diagonal) leaves the next rung the unjittered matrix
+    grid, kernel = TimeGrid(0.0, 2.0, 64), gaussian_kernel(1.0, 0.3)
+    monkeypatch.setattr(noise, "_JITTERS", (1e-12,))
+    want = build_covariance(grid, kernel)
+    monkeypatch.setattr(noise, "_JITTERS", (-1.0, 1e-12))
+    got = build_covariance(grid, kernel)
+    assert got.jitter == want.jitter
+    assert np.array_equal(got.cholesky, want.cholesky)
 
 
 def test_sampling_reproducibility_bitwise():

@@ -87,7 +87,7 @@ def test_eigenstate_never_undecided(two_state):
 def test_high_separation_undecided_below_one_percent(two_state, psi_born):
     # gamma f = 6, (Delta a)^2 = 4: the mixture components are far apart
     res = run_white(two_state, psi_born, 1.0, 6.0, 600, 10_000, 41)
-    labels = classify_outcomes(res, two_state, threshold=0.99)
+    labels = classify_outcomes(res, two_state, threshold=0.99)[:, -1]
     # unguarded cooking weights (n_eff is about 5 here, below cook_weights' floor
     # of 10): this probes the labels, and the ratio needs no normalization
     lw = res.log_weights[:, -1]
@@ -170,7 +170,7 @@ def test_decided_fraction_grows_with_horizon(two_state, psi_born):
     )
     fracs, errs = [], []
     for cp in (1, 2):
-        labels = classify_outcomes(res, two_state, threshold=0.9, checkpoint=cp)
+        labels = classify_outcomes(res, two_state, threshold=0.9)[:, cp]
         cw = cook_weights(dataclasses.replace(res, log_weights=res.log_weights[:, : cp + 1]))
         dec = (labels != UNDECIDED).astype(float)
         fracs.append(fsum_ordered(cw.weights * dec) / fsum_ordered(cw.weights))
