@@ -9,6 +9,8 @@ numerics; ``simulate_ensemble`` selects one through its ``method``:
   half-steps merge into one exp(-i H0 dt) except beside a recorded
   checkpoint.  The diagonal exponential realizes the Stratonovich reading
   exactly in the noise; the per-step error is O(dt^2) from the splitting.
+  The white noise factors come in blocks of 16 steps, one GEMM and one exp
+  per block, with the bits of one GEMM per step.
 * ``exact_commuting`` -- any kernel when the Hamiltonian commutes with the
   preferred-basis operators (or is absent).  Amplitudes propagate in
   closed form, c_a(t) = c_a(t0) exp(-i E_a (t-t0) + sum_i a_ia x_i(t)
@@ -111,28 +113,42 @@ def _stepped_chunk(aset, psi0, grid, drive, cp_idx, unitaries, comp):
     (norm-average-preserving) dynamics; comp = 0 the raw linear equation.
     psi[:, i] is trajectory i.  ``unitaries`` is None or (exp(-i H0 dt),
     exp(-i H0 dt/2)); half-steps merge except beside a recorded checkpoint.
+    The diagonal noise factors come in blocks of 16 steps, one GEMM and one
+    exp per block into reused buffers; nc is a multiple of 16, so each factor
+    has the bits of a one-step GEMM.
     """
-    nc = drive.shape[0]
-    drive = np.ascontiguousarray(drive.transpose(2, 1, 0))  # (steps, m, nc)
+    (nc, m, _), d = drive.shape, psi0.size
+    rows, block = np.empty(m * 16 * nc), np.empty(d * 16 * nc)  # one block's drive and factors
+    sq, sq_im = np.empty((d, nc)), np.empty((d, nc))
     psi = np.repeat(psi0[:, None], nc, axis=1)
     offsets = np.zeros(nc)
-    amps = np.empty((nc, len(cp_idx), psi0.size), dtype=np.complex128)
+    amps = np.empty((nc, len(cp_idx), d), dtype=np.complex128)
     logw = np.empty((nc, len(cp_idx)))
     start = 0
     for j, stop in enumerate(cp_idx):
         for k in range(start, stop):
+            if k % 16 == 0:  # steps k .. k+15, cut at the last checkpoint
+                cols = min(16, cp_idx[-1] - k) * nc
+                step_rows = rows[: m * cols].reshape(m, cols)
+                np.copyto(step_rows.reshape(m, -1, nc), drive[:, :, k : k + cols // nc].transpose(1, 2, 0))
+                expo = np.matmul(aset.table.T, step_rows, out=block[: d * cols].reshape(d, cols))
+                expo *= grid.dt
+                expo -= comp
+                fac = expo.reshape(d, -1, nc)
+                peaks = fac.max(axis=0)
+                np.exp(np.subtract(fac, peaks, out=fac), out=fac)
             if unitaries is not None:
                 psi = unitaries[1 if k == start else 0] @ psi
-            expo = aset.table.T @ drive[k] * grid.dt - comp
-            peak = expo.max(axis=0)
-            psi *= np.exp(expo - peak)
-            offsets += peak
+            psi *= fac[:, k % 16]
+            offsets += peaks[k % 16]
             if unitaries is not None and k + 1 == stop:
                 psi = unitaries[1] @ psi
-            norms = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=0))
-            if np.any(norms == 0.0):
-                raise ZeroNorm("trajectory mantissa collapsed to zero")
-            psi /= norms
+            np.multiply(psi.real, psi.real, out=sq)
+            sq += np.multiply(psi.imag, psi.imag, out=sq_im)
+            norms = np.sqrt(sq.sum(axis=0))
+            if not norms.min() > 0.0:
+                raise ZeroNorm("trajectory norm is zero or not finite")
+            psi *= 1.0 / norms
             offsets += np.log(norms)
         amps[:, j, :] = psi.T
         logw[:, j] = 2.0 * offsets

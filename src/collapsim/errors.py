@@ -51,7 +51,7 @@ class KernelNotPSD(NumericalError):
 
 
 class ZeroNorm(NumericalError):
-    """State vector norm underflowed to zero despite log-offset bookkeeping."""
+    """State vector norm underflowed to zero, or went non-finite, despite log-offset bookkeeping."""
 
 
 class DegenerateEnsemble(NumericalError):

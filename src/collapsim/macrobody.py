@@ -164,9 +164,10 @@ def _pair_bracket(body: MacroBody, q1: tuple, q2: tuple, alpha: float) -> float:
         return 0.0
     off, k, total = body.offsets, alpha / 4.0, 0.0
     for lo in range(0, len(off), _PAIR_ROWS):  # row blocks, so memory grows as N, not N^2
-        rel = off[lo : lo + _PAIR_ROWS, None, :] - off[None, :, :]  # (rows, N, 3)
-        r2, s2 = np.sum(rel**2, axis=-1), np.sum((rel + dq) ** 2, axis=-1)
-        kc = k * (2.0 * (rel @ dq) + dq @ dq)  # k (s^2 - r^2) with no cancellation
+        rel = [off[lo : lo + _PAIR_ROWS, None, c] - off[None, :, c] for c in range(3)]  # (rows, N) planes
+        sh = [rel[c] + dq[c] for c in range(3)]
+        r2, s2 = (p[0] * p[0] + p[1] * p[1] + p[2] * p[2] for p in (rel, sh))
+        kc = k * (2.0 * (rel[0] * dq[0] + rel[1] * dq[1] + rel[2] * dq[2]) + dq @ dq)  # k (s^2 - r^2), no cancellation
         shifted = kc < -1.0
         sign = np.where(shifted, -1.0, 1.0)
         total -= np.sum(sign * np.exp(-k * np.where(shifted, s2, r2)) * np.expm1(-sign * kc))

@@ -66,7 +66,7 @@ def _rk4_density(rho0, grid, rhs, cp_idx):
             rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             tr = np.trace(rho)
             drift = abs(float(tr.real) - 1.0) + abs(float(tr.imag))
-            if drift > TRACE_DRIFT_TOL:
+            if not drift <= TRACE_DRIFT_TOL:
                 raise StepSizeRejected(
                     f"trace drift {drift:.2e} at t={nodes[k + 1]:.6g}; reduce the step size"
                 )

@@ -77,7 +77,7 @@ def cook_weights(result) -> CookedWeights:
         mean_raw = math.inf
     var = fsum_ordered((scaled - mean_scaled) ** 2) / max(n - 1, 1)
     stderr = mean_raw * math.sqrt(var / n) / mean_scaled
-    if n_eff < N_EFF_FLOOR:
+    if not n_eff >= N_EFF_FLOOR:
         raise DegenerateEnsemble(f"effective sample size {n_eff:.2f} below floor {N_EFF_FLOOR}")
     return CookedWeights(weights, n_eff, mean_raw, stderr)
 

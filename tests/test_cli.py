@@ -748,6 +748,18 @@ def test_no_decided_trajectory_exits_3(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["manifest.json"]  # a numerical failure leaves no result file
 
 
+def test_non_finite_amplitudes_exit_3_at_the_solver(tmp_path, capsys):
+    # eigenvalues +-1e200 overflow the white exponent to NaN amplitudes; the
+    # solver's norm guard stops the run, not a statistic computed later
+    cfg = traj_config(n=50, extra={"kernel": {"family": "white", "gamma": 1.0}})
+    cfg["system"]["eigenvalues"] = [[1e200, -1e200]]
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "trajectory norm is zero or not finite" in err and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 def test_malformed_body_rows_exit_2_naming_the_line(tmp_path, capsys):
     # only the first non-empty row may be a header; a bad row after it is an
     # error, even before the first good row

@@ -23,6 +23,7 @@ from collapsim import (
     simulate_ensemble,
     white_kernel,
 )
+from collapsim import dynamics
 from collapsim.dynamics import CHUNK, bump_realization
 from collapsim.errors import ConfigError, NonCommuting
 from collapsim.hilbert import pure_density
@@ -543,3 +544,59 @@ def test_checkpoint_times_subset_of_nodes(two_state, psi_born):
     res = simulate_ensemble(two_state, psi_born, grid, white_kernel(0.3), 2, 1)
     nodes = grid.nodes()
     assert np.all(np.isin(res.times, nodes))
+
+
+def _per_step_chunk(aset, psi0, grid, drive, cp_idx, unitaries, comp):
+    """Reference Trotter chunk: one GEMM, one exp and one division per step."""
+    nc = drive.shape[0]
+    drive = np.ascontiguousarray(drive.transpose(2, 1, 0))  # (steps, m, nc)
+    psi = np.repeat(psi0[:, None], nc, axis=1)
+    offsets = np.zeros(nc)
+    amps = np.empty((nc, len(cp_idx), psi0.size), dtype=np.complex128)
+    logw = np.empty((nc, len(cp_idx)))
+    start = 0
+    for j, stop in enumerate(cp_idx):
+        for k in range(start, stop):
+            if unitaries is not None:
+                psi = unitaries[1 if k == start else 0] @ psi
+            expo = aset.table.T @ drive[k] * grid.dt - comp
+            peak = expo.max(axis=0)
+            psi *= np.exp(expo - peak)
+            offsets += peak
+            if unitaries is not None and k + 1 == stop:
+                psi = unitaries[1] @ psi
+            norms = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=0))
+            assert np.all(norms > 0.0)
+            psi /= norms
+            offsets += np.log(norms)
+        amps[:, j, :] = psi.T
+        logw[:, j] = 2.0 * offsets
+        start = stop
+    return amps, logw
+
+
+@pytest.mark.parametrize("cp", [[0, 15, 16, 17, 33, 37], [5, 36]], ids=["block-edges", "inner"])
+@pytest.mark.parametrize("method", ["trotter_white", "raw_linear"])
+@pytest.mark.parametrize("with_h0", [True, False])
+@pytest.mark.parametrize("m", [1, 3])
+def test_blocked_noise_factors_match_per_step_reference(m, with_h0, method, cp, monkeypatch):
+    # the chunk builds its noise factors 16 steps at a time and renormalizes by
+    # a reciprocal; every amplitude and log weight keeps the bits of the
+    # per-step loop, at block edges, inside blocks and past the last block
+    rng = np.random.default_rng(3)
+    d = 5
+    aset = CommutingSet([np.linspace(-1.0, 1.0, d)] + [rng.normal(size=d) for _ in range(m - 1)])
+    psi0 = np.array([0.3, 0.5j, -0.4, 0.2, 0.6])
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h0 = h + h.conj().T if with_h0 else None
+    grid = TimeGrid(0.0, 0.4, 37)
+    for n in (1, 37, 700):
+        run = lambda: simulate_ensemble(  # noqa: E731
+            aset, psi0, grid, white_kernel(0.7), n, 9, h0=h0, method=method, checkpoints=np.array(cp)
+        )
+        blocked = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_stepped_chunk", _per_step_chunk)
+            reference = run()
+        assert blocked.amps.tobytes() == reference.amps.tobytes()
+        assert blocked.log_weights.tobytes() == reference.log_weights.tobytes()

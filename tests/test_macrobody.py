@@ -132,18 +132,26 @@ def test_small_displacement_rate_matches_40_digit_bracket(dq):
 
 
 def test_pair_bracket_row_blocks_match_40_digit_sum():
-    # 130 constituents make blocks of 64, 64 and 2 rows
+    # a 130-site lattice with dq on its axis (blocks of 64, 64 and 2 rows) and a
+    # 70-point 3-D body with dq off every axis (64 and 6 rows)
     p = MacroParams()
-    body = MacroBody.lattice(130, 1.5e-5)
-    dq = 3.7e-5
-    with mpmath.workdps(40):
-        a = mpmath.mpf(p.alpha) / 4
-        xs = [mpmath.mpf(v) for v in body.offsets[:, 0].tolist()]
-        d = mpmath.mpf(dq)
-        want = float(mpmath.fsum(
-            mpmath.exp(-a * (xi - xj) ** 2) - mpmath.exp(-a * (d + xi - xj) ** 2) for xi in xs for xj in xs
-        ))
-    assert _pair_bracket(body, (dq, 0.0, 0.0), (0.0, 0.0, 0.0), p.alpha) == pytest.approx(want, rel=1e-13, abs=0.0)
+    rng = np.random.default_rng(16)
+    cases = [
+        (MacroBody.lattice(130, 1.5e-5), np.array([3.7e-5, 0.0, 0.0])),
+        (MacroBody(rng.normal(scale=3.0e-5, size=(70, 3))), np.array([2.1e-5, -1.3e-5, 0.7e-5])),
+    ]
+    for body, dq in cases:
+        with mpmath.workdps(40):
+            a = mpmath.mpf(p.alpha) / 4
+            qs = [[mpmath.mpf(v) for v in row] for row in body.offsets.tolist()]
+            d = [mpmath.mpf(v) for v in dq.tolist()]
+            want = float(mpmath.fsum(
+                mpmath.exp(-a * sum((u - v) ** 2 for u, v in zip(qi, qj)))
+                - mpmath.exp(-a * sum((w + u - v) ** 2 for w, u, v in zip(d, qi, qj)))
+                for qi in qs for qj in qs
+            ))
+        got = _pair_bracket(body, tuple(dq), (0.0, 0.0, 0.0), p.alpha)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_pair_bracket_memory_grows_linearly_in_n():

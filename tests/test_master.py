@@ -333,6 +333,18 @@ def test_trace_drift_guard_trips():
         _rk4_density(rho0, grid, leaky_rhs, np.array([0, 10]))
 
 
+def test_trace_drift_guard_fails_closed_on_nan():
+    # a NaN drift compares false with any bound; the guard must still trip
+    grid = TimeGrid(0.0, 1.0, 10)
+    rho0 = np.diag([0.5, 0.5]).astype(complex)
+
+    def nan_rhs(rho, t):
+        return np.full((2, 2), np.nan, dtype=complex)
+
+    with pytest.raises(StepSizeRejected):
+        _rk4_density(rho0, grid, nan_rhs, np.array([0, 10]))
+
+
 def test_integrators_keep_density_physical(two_state, rho_born):
     # Hermiticity / trace / positivity at every checkpoint, both integrators
     grid = TimeGrid(0.0, 1.2, 600)

@@ -78,6 +78,15 @@ def test_degenerate_ensemble_guard(two_state, psi_born):
         cook_weights(res)
 
 
+def test_degenerate_ensemble_guard_fails_closed_on_nan(two_state, psi_born):
+    # one NaN log weight makes n_eff NaN, which compares false with the floor
+    res = run_white(two_state, psi_born, 0.5, 1.0, 50, 500, 3)
+    log_weights = res.log_weights.copy()
+    log_weights[7, -1] = np.nan
+    with pytest.raises(DegenerateEnsemble):
+        cook_weights(dataclasses.replace(res, log_weights=log_weights))
+
+
 def test_eigenstate_never_undecided(two_state):
     res = run_white(two_state, [1.0, 0.0], 1.0, 2.0, 100, 300, 23)
     labels = classify_outcomes(res, two_state, threshold=0.99)
