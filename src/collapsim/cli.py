@@ -38,11 +38,11 @@ from .kernels import (
 from .macrobody import (
     DEFAULT_ALPHA, DEFAULT_LAMBDA, MacroBody, MacroParams, com_offdiag_decay, macro_damping_rate, require_after_t0,
 )
-from .master import evolve_colored_master, evolve_lindblad_csl
+from .master import evolve_colored_master, evolve_lindblad_csl, require_stable_step
 from .noise import TimeGrid, checkpoint_indices, sample_paths, sample_white_increments, build_covariance
 from .dynamics import simulate_ensemble
 from .fncheck import FN_FUNCTIONALS, fn_validate, require_samples
-from .reduction import born_frequencies, classify_outcomes, require_min_decided, require_threshold
+from .reduction import born_frequencies, require_min_decided, require_threshold
 
 TASKS = ("trajectories", "master", "fn-check", "macro-rate", "kernel-diag")
 
@@ -253,12 +253,13 @@ def _dump_paths(grid, kernel, m, n, seed):
 
 def _run_trajectories(system, grid, kernel, ens, red):
     aset, psi0, h0 = system
-    n, seed, threshold = ens["trajectories"], ens["master_seed"], red["threshold"]
+    n, seed = ens["trajectories"], ens["master_seed"]
     result = simulate_ensemble(
         aset, psi0, grid, kernel, n, seed, h0=h0, method="auto",
         checkpoints=checkpoint_indices(grid, ens["checkpoints"]),
     )
-    labels = np.array([*(grp.label for grp in aset.outcome_groups()), "undecided"], dtype=object)
+    report = born_frequencies(result, aset, psi0, red["threshold"], min_decided=red["min_decided"])
+    labels = np.array([*report.labels, "undecided"], dtype=object)
     header = ["trajectory", "t", "log_weight", *(f"p_{a + 1}" for a in range(result.dim)), "dominant_outcome"]
     probs = (np.abs(result.amps) ** 2).reshape(-1, result.dim).T
     columns = [
@@ -266,9 +267,8 @@ def _run_trajectories(system, grid, kernel, ens, red):
         np.tile(result.times, result.n),
         result.log_weights.ravel(),
         *probs,
-        labels[classify_outcomes(result, aset, threshold).ravel()],  # UNDECIDED (-1) picks the last label
+        labels[report.outcomes.ravel()],  # UNDECIDED (-1) picks the last label
     ]
-    report = born_frequencies(result, aset, psi0, threshold, min_decided=red["min_decided"])
     stat_columns = [
         report.labels, report.born, report.frequency, report.stderr,
         np.full(len(report.labels), report.n_eff), np.full(len(report.labels), report.undecided_fraction),
@@ -352,6 +352,9 @@ def _plan(cfg, base_dir, seed=None, workers=None):
     if task == "master":
         if kernel.family is not KernelFamily.WHITE and system[2] is not None and np.any(system[2]):
             raise ConfigError("the colored master equation is defined with H0 absent")
+        # the rate of both master equations is gamma G(t), and G = 1/2 for white noise
+        require_stable_step(system[2], system[0], grid,
+                            lambda t: kernel.gamma * kernel_cumulative(kernel, t, grid.t0), "grid.steps")
         return top, ens, _run_master, (system, grid, kernel, ens["checkpoints"])
     if kernel.family is not KernelFamily.WHITE and system[2] is not None:
         require_commuting(system[2], system[0], "system.hamiltonian")

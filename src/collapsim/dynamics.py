@@ -228,7 +228,8 @@ def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
         return method, cp_idx, chunk
 
     unitaries = None if h0 is None else (_unitary(h0, grid.dt), _unitary(h0, 0.5 * grid.dt))
-    comp = gamma * np.sum(aset.table**2, axis=0)[:, None] * grid.dt if method == "trotter_white" else 0.0
+    with np.errstate(over="ignore"):  # an overflowing table stops at the chunk's norm guard (ZeroNorm)
+        comp = gamma * np.sum(aset.table**2, axis=0)[:, None] * grid.dt if method == "trotter_white" else 0.0
 
     def chunk(kind, w, x_cp):
         # zero rows up to a multiple of 16 keep every real row out of OpenBLAS's partial
@@ -239,7 +240,8 @@ def _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel):
         # node-kind (colored) paths step on the trapezoid average of adjacent
         # nodes, so with H0 = 0 the product telescopes to exp(A . x_trap)
         drive = w if kind == "increments" else 0.5 * (w[..., :-1] + w[..., 1:])
-        amps, logw = _stepped_chunk(aset, psi0, grid, drive, cp_idx, unitaries, comp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps, logw = _stepped_chunk(aset, psi0, grid, drive, cp_idx, unitaries, comp)
         return amps[:nc], logw[:nc]
 
     return method, cp_idx, chunk

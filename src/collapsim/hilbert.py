@@ -68,8 +68,9 @@ class CommutingSet:
 
     def pairwise_gap_sq(self) -> np.ndarray:
         """W[a, b] = sum_i (a_ia - a_ib)^2, the double-commutator weight matrix."""
-        diff = self.table[:, :, None] - self.table[:, None, :]
-        return np.sum(diff**2, axis=0)
+        with np.errstate(over="ignore"):  # an overflowing table gives inf, which the master step rule refuses
+            diff = self.table[:, :, None] - self.table[:, None, :]
+            return np.sum(diff**2, axis=0)
 
     def outcome_groups(self) -> list[OutcomeGroup]:
         """Joint eigenmanifolds in order of first appearance over the basis."""

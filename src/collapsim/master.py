@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 TRACE_DRIFT_TOL = 1.0e-8
+STEP_MARGIN = 0.25  # largest dt * (max rate * max W + spread of H0's eigenvalues) an RK4 step takes
 BATCHES = 100  # trajectory-index batches behind ensemble_to_density's standard errors
 
 
@@ -75,12 +76,34 @@ def _rk4_density(rho0, grid, rhs, cp_idx):
     return out
 
 
+def require_stable_step(h0, aset: CommutingSet, grid: TimeGrid, rate, where: str = "step count") -> None:
+    """A ConfigError naming ``where``, and the least step count that passes, unless the step
+    margin dt * (max over the nodes of rate * max W + the spread of H0's eigenvalues) is at most
+    ``STEP_MARGIN``.  There one RK4 step errs by 1.0e-5 relative on a decaying coherence and by
+    1.1e-6 absolute under H0; near 3 the step is unstable, and the trace check cannot see it.
+    """
+    top = max(map(rate, grid.nodes().tolist())) * float(np.max(aset.pairwise_gap_sq()))
+    if h0 is not None:
+        evals = np.linalg.eigvalsh(h0)
+        top += float(evals[-1] - evals[0])
+    margin = grid.dt * top
+    if not margin <= STEP_MARGIN:
+        span = grid.t1 - grid.t0
+        need = span * top / STEP_MARGIN
+        if need < 1e15:
+            need = math.ceil(need)
+            need += span / need * top > STEP_MARGIN  # the ceiling can round one step short
+        raise ConfigError(f"{where} gives a master-equation step margin {margin:.3g} above {STEP_MARGIN}; "
+                          f"the least step count that passes is {need:.15g}")
+
+
 def _evolve_master(h0, aset: CommutingSet, rho0: DensityMatrix, grid: TimeGrid, rate, checkpoints):
     """RK4 on drho/dt = -i [H0, rho] - rate(t) W . rho, recording rho at the checkpoints."""
     rho0.validate()
     cp_idx = checkpoint_schedule(grid, checkpoints)
     w = aset.pairwise_gap_sq()
     h0m = validate_hamiltonian(h0, rho0.dim) if h0 is not None else None
+    require_stable_step(h0m, aset, grid, rate)
 
     def rhs(rho, t):
         out = -rate(t) * (w * rho)

@@ -56,16 +56,16 @@ class CookedWeights:
     mean_raw_stderr: float
 
 
-def cook_weights(result) -> CookedWeights:
-    """Cooking weights ~ ||psi_raw(t)||^2 at the last checkpoint, normalized to mean one.
+def cook_weights(log_weights) -> CookedWeights:
+    """Cooking weights ~ ||psi_raw(t)||^2 from one checkpoint's log-weight column, normalized to mean one.
 
     The effective sample size is computed in the log domain,
     n_eff = exp(2 LSE(lw) - LSE(2 lw)), and guards downstream statistics.
     """
-    lw = np.asarray(result.log_weights[:, -1], dtype=float)
+    lw = np.asarray(log_weights, dtype=float)
     n = lw.size
-    if n < 1:
-        raise ConfigError("cook_weights needs at least one record")
+    if lw.ndim != 1 or n < 1:
+        raise ConfigError(f"cook_weights needs one non-empty log-weight column, got shape {lw.shape}")
     n_eff = math.exp(2.0 * _logsumexp(lw) - _logsumexp(2.0 * lw))
     peak = float(np.max(lw))
     scaled = np.exp(lw - peak)
@@ -122,6 +122,7 @@ class BornReport:
     stderr: np.ndarray  # binomial at the decided effective sample size
     n_eff: float  # over decided trajectories
     undecided_fraction: float  # cooked-weighted
+    outcomes: np.ndarray  # classify_outcomes at every checkpoint, (n, checkpoints)
 
 
 def born_frequencies(
@@ -131,18 +132,17 @@ def born_frequencies(
 
     Frequencies are conditional on the decided trajectories; the standard
     error is binomial under the reference weights at the decided effective
-    sample size, sqrt(p0 (1 - p0) / n_eff).
+    sample size, sqrt(p0 (1 - p0) / n_eff).  The report hands on the labels
+    it classified at every checkpoint.
     """
     require_min_decided(min_decided)
-    cw = cook_weights(result)
+    w = cook_weights(result.log_weights[:, -1]).weights
     labels = [g.label for g in aset.outcome_groups()]
-    outcomes = classify_outcomes(result, aset, threshold)[:, -1]
-    w = cw.weights
-    total = fsum_ordered(w)
-    undecided = fsum_ordered(w[outcomes == UNDECIDED]) / total
-    decided_mask = outcomes != UNDECIDED
-    wd = w[decided_mask]
-    od = outcomes[decided_mask]
+    outcomes = classify_outcomes(result, aset, threshold)
+    last = outcomes[:, -1]
+    decided = last != UNDECIDED
+    undecided = fsum_ordered(w[~decided]) / fsum_ordered(w)
+    wd, od = w[decided], last[decided]
     denom, square_sum = fsum_ordered(wd), fsum_ordered(wd**2)
     if square_sum == 0.0 or 1.0 - undecided < min_decided:  # no decided weight leaves no statistics
         raise TooManyUndecided(f"cooked decided fraction {1.0 - undecided:.3f} is zero or below {min_decided}")
@@ -150,7 +150,7 @@ def born_frequencies(
     born = born_weights(psi0, aset)
     freq = np.array([fsum_ordered(wd[od == g]) / denom for g in range(len(labels))])
     stderr = np.sqrt(np.clip(born * (1.0 - born), 0.0, None) / n_eff)
-    return BornReport(labels, born, freq, stderr, n_eff, undecided)
+    return BornReport(labels, born, freq, stderr, n_eff, undecided, outcomes)
 
 
 def ks_critical_value(n_eff: float) -> float:
@@ -162,10 +162,7 @@ def ks_critical_value(n_eff: float) -> float:
 class XDistributionReport:
     """Weighted distribution of the integrated noise vs the analytic mixture."""
 
-    x: np.ndarray
-    weights: np.ndarray
     component_means: np.ndarray
-    component_weights: np.ndarray
     sigma: float
     ks_distance: float
     ks_critical: float
@@ -202,7 +199,7 @@ def cooked_x_distribution(result, aset: CommutingSet, psi0, kernel: CorrelationK
     """
     if aset.num_ops != 1:
         raise ConfigError("cooked_x_distribution is defined for a single operator")
-    cw = cook_weights(result)
+    cw = cook_weights(result.log_weights[:, -1])
     x = result.x[:, 0, -1]
     t = float(result.times[-1])
     t0 = float(result.grid.t0)
@@ -218,14 +215,5 @@ def cooked_x_distribution(result, aset: CommutingSet, psi0, kernel: CorrelationK
         x, np.ones_like(x), lambda xs: _mixture_cdf(xs, np.array([0.0]), np.array([1.0]), sigma)
     )
     return XDistributionReport(
-        x=x,
-        weights=cw.weights,
-        component_means=means,
-        component_weights=comp_w,
-        sigma=sigma,
-        ks_distance=dist,
-        ks_critical=ks_critical_value(cw.n_eff),
-        raw_ks_distance=raw_dist,
-        raw_ks_critical=ks_critical_value(float(x.size)),
-        n_eff=cw.n_eff,
+        means, sigma, dist, ks_critical_value(cw.n_eff), raw_dist, ks_critical_value(float(x.size)), cw.n_eff
     )

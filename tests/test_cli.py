@@ -760,6 +760,41 @@ def test_non_finite_amplitudes_exit_3_at_the_solver(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
+def test_trajectories_run_classifies_once(tmp_path, monkeypatch):
+    # born_frequencies classifies every checkpoint and hands the labels on to trajectories.csv
+    from collapsim import reduction
+
+    calls, original = [], reduction.classify_outcomes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (reduction, cli):  # a module that imported the name holds its own binding
+        monkeypatch.setattr(module, "classify_outcomes", counted, raising=False)
+    assert main(["--config", write_config(tmp_path, traj_config()), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def master_config():
+    return {"task": "master", "system": traj_config()["system"], "kernel": {"family": "white", "gamma": 1.0},
+            "grid": {"t0": 0.0, "t1": 1.0, "steps": 40}, "ensemble": {"checkpoints": 5}}
+
+
+@pytest.mark.parametrize("where, value, least", [
+    ("kernel", {"family": "white", "gamma": 60.0}, "480"),
+    ("kernel", {"family": "gaussian", "gamma": 200.0, "tau": 0.05}, "1600"),
+    ("system.hamiltonian", [[0.0, 60.0], [60.0, 0.0]], "488"),
+    ("system.eigenvalues", [[1e200, -1e200]], "inf"),  # the gaps overflow
+])
+def test_unstable_master_step_exits_2_naming_the_least_steps(tmp_path, capsys, where, value, least):
+    # each exited 0 before the step rule, its coherences blown up or NaN
+    code, wrote = run_bad(tmp_path, with_value(master_config(), where, value))
+    assert code == 2 and not wrote
+    err = capsys.readouterr().err
+    assert "grid.steps gives a master-equation step margin" in err and f"passes is {least}\n" in err
+
+
 def test_malformed_body_rows_exit_2_naming_the_line(tmp_path, capsys):
     # only the first non-empty row may be a header; a bad row after it is an
     # error, even before the first good row

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import statistics
 import tracemalloc
 import warnings
@@ -22,7 +23,7 @@ from collapsim import (
     simulate_ensemble,
     white_kernel,
 )
-from collapsim.errors import DegenerateEnsemble, StepSizeRejected
+from collapsim.errors import ConfigError, DegenerateEnsemble, StepSizeRejected
 from collapsim.hilbert import pure_density
 from collapsim.master import _rk4_density, fit_exponential_rate
 
@@ -358,3 +359,33 @@ def test_integrators_keep_density_physical(two_state, rho_born):
             assert float(np.max(np.abs(rho - rho.conj().T))) <= 1e-12
             assert abs(float(np.trace(rho).real) - 1.0) <= 1e-10
             assert float(np.linalg.eigvalsh(rho).min()) >= -1e-9
+
+
+@pytest.mark.parametrize("case", ["white", "gaussian", "hamiltonian"])
+def test_step_past_the_margin_is_refused_naming_the_least_count(two_state, rho_born, case):
+    # 40 steps over [0, 1] put the step margin at 3, 10 and 3, where RK4 blows up
+    # while the trace stays exactly 1
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+    def run(steps):
+        grid = TimeGrid(0.0, 1.0, steps)
+        if case == "gaussian":
+            return evolve_colored_master(two_state, rho_born, grid, gaussian_kernel(200.0, 0.05))
+        if case == "hamiltonian":
+            return evolve_lindblad_csl(60.0 * sigma_x, two_state, rho_born, grid, 0.0)
+        return evolve_lindblad_csl(None, two_state, rho_born, grid, 60.0)
+
+    with pytest.raises(ConfigError, match="least step count that passes is") as info:
+        run(40)
+    least = int(re.search(r"passes is (\d+)$", str(info.value)).group(1))
+    with pytest.raises(ConfigError):
+        run(least - 1)
+    rho = run(least).rhos[-1]
+    # at the margin a step errs by 1.0e-5 relative on a coherence, 1.1e-6 absolute under H0
+    if case == "hamiltonian":
+        u = math.cos(60.0) * np.eye(2) - 1j * math.sin(60.0) * sigma_x
+        assert np.max(np.abs(rho - u @ rho_born.rho @ u.conj().T)) <= least * 1.2e-6
+    else:
+        kernel = gaussian_kernel(200.0, 0.05) if case == "gaussian" else white_kernel(60.0)
+        want = 0.48 * offdiag_analytic(two_state, kernel, 0, 1, 1.0, 0.0)
+        assert rho[0, 1].real == pytest.approx(want, rel=least * 1.1e-5)

@@ -19,7 +19,7 @@ from collapsim import (
     simulate_ensemble,
     white_kernel,
 )
-from collapsim.errors import DegenerateEnsemble, TooManyUndecided
+from collapsim.errors import ConfigError, DegenerateEnsemble, TooManyUndecided
 from collapsim.kernels import kernel_double_integral
 from collapsim.noise import fsum_ordered
 from collapsim.reduction import UNDECIDED, ks_critical_value
@@ -35,7 +35,7 @@ def run_white(aset, psi0, gamma, t1, steps, n, seed, cp=None):
 
 def test_cook_weights_unit_for_vanishing_noise(two_state, psi_born):
     res = run_white(two_state, psi_born, 1e-30, 1.0, 50, 500, 3)
-    cw = cook_weights(res)
+    cw = cook_weights(res.log_weights[:, -1])
     assert np.allclose(cw.weights, 1.0, atol=1e-10)
     assert cw.n_eff == pytest.approx(500.0, rel=1e-10)
     assert cw.mean_raw == pytest.approx(1.0, abs=1e-12)
@@ -43,7 +43,7 @@ def test_cook_weights_unit_for_vanishing_noise(two_state, psi_born):
 
 def test_mean_raw_weight_is_one(two_state, psi_born):
     res = run_white(two_state, psi_born, 0.5, 1.0, 200, 10_000, 19)
-    cw = cook_weights(res)
+    cw = cook_weights(res.log_weights[:, -1])
     assert abs(cw.mean_raw - 1.0) <= 5.0 * cw.mean_raw_stderr
     assert cw.weights.mean() == pytest.approx(1.0, rel=1e-12)  # self-normalized
 
@@ -56,8 +56,8 @@ def test_mean_raw_stderr_scale_free_in_log_weights(two_state, psi_born):
     res = simulate_ensemble(
         two_state, psi_born, grid, white_kernel(1.0), 400, 9, method="raw_linear"
     )
-    base = cook_weights(res)
-    shifted = cook_weights(dataclasses.replace(res, log_weights=res.log_weights + 703.0))
+    base = cook_weights(res.log_weights[:, -1])
+    shifted = cook_weights(res.log_weights[:, -1] + 703.0)
     assert math.isfinite(shifted.mean_raw)
     assert shifted.mean_raw_stderr / shifted.mean_raw == pytest.approx(
         base.mean_raw_stderr / base.mean_raw, rel=1e-12
@@ -68,23 +68,30 @@ def test_neff_decreases_with_gamma_f(two_state, psi_born):
     neffs = []
     for gamma in (0.25, 0.5, 1.0):
         res = run_white(two_state, psi_born, gamma, 1.0, 100, 20_000, 101)
-        neffs.append(cook_weights(res).n_eff)
+        neffs.append(cook_weights(res.log_weights[:, -1]).n_eff)
     assert neffs[0] > neffs[1] > neffs[2]
 
 
 def test_degenerate_ensemble_guard(two_state, psi_born):
     res = run_white(two_state, psi_born, 1.0, 6.0, 300, 50, 7)
     with pytest.raises(DegenerateEnsemble):
-        cook_weights(res)
+        cook_weights(res.log_weights[:, -1])
 
 
 def test_degenerate_ensemble_guard_fails_closed_on_nan(two_state, psi_born):
     # one NaN log weight makes n_eff NaN, which compares false with the floor
     res = run_white(two_state, psi_born, 0.5, 1.0, 50, 500, 3)
-    log_weights = res.log_weights.copy()
-    log_weights[7, -1] = np.nan
+    log_weights = res.log_weights[:, -1].copy()
+    log_weights[7] = np.nan
     with pytest.raises(DegenerateEnsemble):
-        cook_weights(dataclasses.replace(res, log_weights=log_weights))
+        cook_weights(log_weights)
+
+
+def test_cook_weights_refuses_more_than_one_column(two_state, psi_born):
+    # a whole (n, checkpoints) array would cook every checkpoint together
+    res = run_white(two_state, psi_born, 0.5, 1.0, 50, 500, 3)
+    with pytest.raises(ConfigError, match="one non-empty log-weight column"):
+        cook_weights(res.log_weights)
 
 
 def test_eigenstate_never_undecided(two_state):
@@ -180,7 +187,7 @@ def test_decided_fraction_grows_with_horizon(two_state, psi_born):
     fracs, errs = [], []
     for cp in (1, 2):
         labels = classify_outcomes(res, two_state, threshold=0.9)[:, cp]
-        cw = cook_weights(dataclasses.replace(res, log_weights=res.log_weights[:, : cp + 1]))
+        cw = cook_weights(res.log_weights[:, cp])
         dec = (labels != UNDECIDED).astype(float)
         fracs.append(fsum_ordered(cw.weights * dec) / fsum_ordered(cw.weights))
         errs.append(weighted_fraction_stderr(cw.weights, dec))
