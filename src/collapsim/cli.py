@@ -3,13 +3,13 @@
 One config file = one experiment.  Every block the task reads is checked
 against one schema (unknown keys are rejected), and by the library's own rule
 functions, before anything is written; a manifest is written before any
-result file so partial runs are detectable,
-and every artifact is a CSV with a fixed documented header.  Task runners
-return their artifacts and ``run`` alone writes them: only the streamed
-paths.csv and macro_rate.csv are computed as they are written, so a numerical
-failure anywhere else leaves only the started manifest.  Identical
-config + seed gives byte-identical CSVs.  ``ensemble.workers`` and ``--workers``
-are validated and change nothing: every run uses one worker.
+result file so partial runs are detectable, and every artifact is a CSV with
+a fixed documented header.  Task runners return their artifacts and ``run``
+alone writes them: only the streamed paths.csv and macro_rate.csv are computed
+as they are written, so a numerical failure anywhere else leaves only the
+started manifest.  Identical config + seed gives byte-identical CSVs.
+``ensemble.workers`` and ``--workers`` are validated and change nothing: every
+run uses one worker.
 
 Exit status: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -28,18 +28,12 @@ import numpy as np
 from . import __version__
 from .errors import CollapsimError, ConfigError
 from .hilbert import CommutingSet, DensityMatrix, initial_state, pure_density, require_commuting, validate_hamiltonian
-from .kernels import (
-    KernelFamily,
-    eval_zero_extended,
-    kernel_cumulative,
-    kernel_double_integral,
-    kernel_from_config,
-)
-from .macrobody import (
-    DEFAULT_ALPHA, DEFAULT_LAMBDA, MacroBody, MacroParams, com_offdiag_decay, macro_damping_rate, require_after_t0,
-)
-from .master import evolve_colored_master, evolve_lindblad_csl, require_stable_step
-from .noise import TimeGrid, checkpoint_indices, sample_paths, sample_white_increments, build_covariance
+from .kernels import KernelFamily, eval_zero_extended, kernel_cumulative, kernel_double_integral, kernel_from_config
+from .macrobody import (DEFAULT_ALPHA, DEFAULT_LAMBDA, MacroBody, MacroParams, com_offdiag_decay, macro_damping_rate,
+                        require_after_t0, require_beta)
+from .master import evolve_colored_master, evolve_lindblad_csl, require_finite_gaps, require_stable_step
+from .noise import (TimeGrid, build_covariance, checkpoint_indices, require_t1_after_t0, sample_paths,
+                    sample_white_increments)
 from .dynamics import simulate_ensemble
 from .fncheck import FN_FUNCTIONALS, fn_validate, require_samples
 from .reduction import born_frequencies, require_min_decided, require_threshold
@@ -52,39 +46,42 @@ _DUMP_BLOCK = 64  # trajectories per block of paths.csv, so a large dump streams
 _ROW_BLOCK = 4096  # CSV rows formatted and written at a time
 _QUOTED_CHARS = frozenset(',"\n')  # csv.writer quotes a cell holding one of these
 
-# block -> key -> (JSON type, default or _REQUIRED, inclusive lower bound or None).
+# block -> key -> (JSON type, default or _REQUIRED, interval or None).
 # A one-element list [k] is a list of k, a tuple lists the allowed values, and
-# "complex" is a number or an [re, im] pair.  This table is the only place that
-# names a config key's type, default or bound.
+# "complex" is a number or an [re, im] pair.  An interval such as "(0, inf)"
+# or "[0, 2^64)" bounds a number, or the length of a list.  This table is the
+# only place that names a config key's type, default or bound.
 _SCHEMA = {
     "config": {
         "task": (TASKS, _REQUIRED, None),
         **dict.fromkeys(("system", "kernel", "grid", "ensemble", "reduction", "macro", "output"), _BLOCK),
-        "functionals": ([FN_FUNCTIONALS], FN_FUNCTIONALS, None),
+        "functionals": ([FN_FUNCTIONALS], FN_FUNCTIONALS, "[1, inf)"),
     },
     "system": {
-        "dimension": ("int", _REQUIRED, 1),
-        "eigenvalues": ([["float"]], _REQUIRED, None),
+        "dimension": ("int", _REQUIRED, "[1, inf)"),
+        "eigenvalues": ([["float"]], _REQUIRED, "[1, inf)"),
         "initial_amplitudes": (["complex"], _REQUIRED, None),
         "hamiltonian": ([["complex"]], None, None),
     },
     "kernel": {
-        "family": (tuple(f.value for f in KernelFamily), _REQUIRED, None), "gamma": ("float", _REQUIRED, None),
-        "tau": ("float", None, None), "table_path": ("str", None, None),
+        "family": (tuple(f.value for f in KernelFamily), _REQUIRED, None), "gamma": ("float", _REQUIRED, "(0, inf)"),
+        "tau": ("float", None, "(0, inf)"), "table_path": ("str", None, None),
     },
-    "grid": {"t0": ("float", _REQUIRED, None), "t1": ("float", _REQUIRED, None), "steps": ("int", _REQUIRED, 1)},
+    "grid": {"t0": ("float", _REQUIRED, None), "t1": ("float", _REQUIRED, None),
+             "steps": ("int", _REQUIRED, "[1, inf)")},
     "ensemble": {
-        "trajectories": ("int", _REQUIRED, 1), "master_seed": ("int", _REQUIRED, 0),
-        "workers": ("int", 1, 1), "checkpoints": ("int", 50, 2), "dump_paths": ("bool", False, None),
+        "trajectories": ("int", _REQUIRED, "[1, inf)"), "master_seed": ("int", _REQUIRED, "[0, 2^64)"),
+        "workers": ("int", 1, "[1, inf)"), "checkpoints": ("int", 50, "[2, inf)"), "dump_paths": ("bool", False, None),
     },
     "reduction": {"threshold": ("float", 0.99, None), "min_decided": ("float", 0.95, None)},
     "output": {"directory": ("str", None, None)},
     "macro": {
-        "alpha": ("float", DEFAULT_ALPHA, None), "lambda": ("float", DEFAULT_LAMBDA, None),
-        "beta": ("float", None, None), "t0": ("float", 0.0, None), "body": ("object", _REQUIRED, None),
-        "displacements": (["float"], _REQUIRED, None), "times": (["float"], _REQUIRED, None),
+        "alpha": ("float", DEFAULT_ALPHA, "(0, inf)"), "lambda": ("float", DEFAULT_LAMBDA, "(0, inf)"),
+        "beta": ("float", None, "(0, inf)"), "t0": ("float", 0.0, None), "body": ("object", _REQUIRED, None),
+        "displacements": (["float"], _REQUIRED, "[1, inf)"), "times": (["float"], _REQUIRED, "[1, inf)"),
     },
-    "macro.body": {"lattice_sites": ("int", None, 1), "spacing_cm": ("float", None, None), "csv": ("str", None, None)},
+    "macro.body": {"lattice_sites": ("int", None, "[1, inf)"), "spacing_cm": ("float", None, None),
+                   "csv": ("str", None, None)},
 }
 _JSON_TYPES = {"bool": (bool, "true or false"), "str": (str, "a string"), "object": (dict, "an object")}
 
@@ -127,6 +124,17 @@ def _check(value, kind, where: str):
     return value
 
 
+def _bound(value, interval: str, where: str) -> None:
+    """A ConfigError naming ``where`` unless ``value``, or a list's length, lies in ``interval``, whose
+    ends are numbers, "inf" or powers such as "2^64"; with an infinite upper end "[1, inf)" reads ">= 1"."""
+    size, what = (len(value), where + " length") if isinstance(value, list) else (value, where)
+    low, high = interval[1:-1].split(", ")
+    lo, hi = (float(base) ** int(power or 1) for base, _, power in (low.partition("^"), high.partition("^")))
+    if not ((size >= lo if interval[0] == "[" else size > lo) and (size <= hi if interval[-1] == "]" else size < hi)):
+        rule = f"in {interval}" if hi < math.inf else (">= " if interval[0] == "[" else "> ") + low
+        raise ConfigError(f"{what} must be {rule}, got {size!r}")
+
+
 def _block(raw, name: str, required: bool = True) -> dict:
     """Config block ``name`` checked against ``_SCHEMA[name]``.
 
@@ -142,7 +150,7 @@ def _block(raw, name: str, required: bool = True) -> dict:
     if unknown:
         raise ConfigError(f"unknown key(s) {[prefix + k for k in unknown]}")
     out = {}
-    for key, (kind, default, low) in schema.items():
+    for key, (kind, default, interval) in schema.items():
         where = prefix + key
         if raw.get(key) is None and (key not in raw or default is None):
             if default is _REQUIRED and required:
@@ -150,8 +158,8 @@ def _block(raw, name: str, required: bool = True) -> dict:
             out[key] = None if default is _REQUIRED else default
             continue
         out[key] = _check(raw[key], kind, where)
-        if low is not None and out[key] < low:
-            raise ConfigError(f"{where} must be >= {low}, got {out[key]!r}")
+        if interval is not None:
+            _bound(out[key], interval, where)
     return out
 
 
@@ -169,7 +177,8 @@ def _parse_system(raw):
 
 def _parse_macro(raw, base_dir):
     macro = _block(raw, "macro")
-    params = MacroParams(alpha=macro["alpha"], lam=macro["lambda"], beta=macro["beta"], t0=macro["t0"])
+    beta = require_beta(macro["alpha"], macro["beta"], "macro.beta")
+    params = MacroParams(alpha=macro["alpha"], lam=macro["lambda"], beta=beta, t0=macro["t0"])
     body = _block(macro["body"], "macro.body")
     if body["csv"] is not None:
         body = MacroBody.from_csv(os.path.join(base_dir, body["csv"]))
@@ -177,8 +186,6 @@ def _parse_macro(raw, base_dir):
         raise ConfigError("macro.body needs csv, or lattice_sites and spacing_cm")
     else:
         body = MacroBody.lattice(body["lattice_sites"], body["spacing_cm"])
-    if not macro["displacements"] or not macro["times"]:
-        raise ConfigError("macro.displacements and macro.times must be non-empty")
     require_after_t0(macro["times"], params.t0, "macro.times")
     return params, body, macro["displacements"], macro["times"]
 
@@ -207,8 +214,7 @@ def _write_csv(path, header, blocks):
 
 def _write_manifest(out_dir, payload):
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -334,24 +340,23 @@ def _plan(cfg, base_dir, seed=None, workers=None):
     ens = {**top["ensemble"], **overrides}
     if task in ("trajectories", "master", "fn-check"):
         ens = _block(ens, "ensemble", required=task != "master")
-        if ens["master_seed"] is not None and ens["master_seed"] >= 2**64:
-            raise ConfigError("ensemble.master_seed must fit in an unsigned 64-bit integer")
         if task == "fn-check":
             require_samples(ens["trajectories"], "ensemble.trajectories")
     if task == "macro-rate":
         return top, ens, _run_macro_rate, _parse_macro(top["macro"], base_dir)
     kernel = kernel_from_config(_block(top["kernel"], "kernel"), base_dir=base_dir)
-    grid = TimeGrid(**_block(top["grid"], "grid"))
+    grid = _block(top["grid"], "grid")
+    require_t1_after_t0(grid["t0"], grid["t1"], grid["steps"], "grid.t1")
+    grid = TimeGrid(**grid)
     if task == "kernel-diag":
         return top, ens, _run_kernel_diag, (kernel, grid)
     if task == "fn-check":
-        if not top["functionals"]:
-            raise ConfigError("functionals must be a non-empty list")
         return top, ens, _run_fn_check, (kernel, grid, ens, top["functionals"])
     system = _parse_system(top["system"])
     if task == "master":
         if kernel.family is not KernelFamily.WHITE and system[2] is not None and np.any(system[2]):
-            raise ConfigError("the colored master equation is defined with H0 absent")
+            raise ConfigError("system.hamiltonian must be absent or zero: the colored master equation has no H0")
+        require_finite_gaps(system[0], "system.eigenvalues")
         # the rate of both master equations is gamma G(t), and G = 1/2 for white noise
         require_stable_step(system[2], system[0], grid,
                             lambda t: kernel.gamma * kernel_cumulative(kernel, t, grid.t0), "grid.steps")
@@ -384,11 +389,8 @@ def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
         "master_seed": ens.get("master_seed"),
         "workers": 1,  # the worker count the run used, whatever ensemble.workers says
-        "versions": {
-            "collapsim": __version__,
-            "numpy": np.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-        },
+        "versions": {"collapsim": __version__, "numpy": np.__version__,
+                     "python": ".".join(map(str, sys.version_info[:3]))},
         "artifacts": [],
     }
     _write_manifest(out_dir, manifest)
@@ -401,10 +403,8 @@ def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="collapsim",
-        description="Run a collapse-trajectory experiment from a JSON config.",
-    )
+    parser = argparse.ArgumentParser(prog="collapsim",
+                                     description="Run a collapse-trajectory experiment from a JSON config.")
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--workers", type=int, default=None, help="validated like ensemble.workers; changes nothing")
@@ -412,12 +412,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args.config, args.out, args.workers, args.seed)
-    except CollapsimError as exc:
+    except (CollapsimError, FileNotFoundError) as exc:  # a missing file is a validation error
         print(f"collapsim: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"collapsim: error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -163,19 +163,24 @@ def _exact_commuting_chunk(aset, psi0, x_cp, gamma_f_cp, energies_u):
     sum_i a_ia x_i(t) - gamma f(t) sum_i a_ia^2 (diagonal cross structure).
     """
     table = aset.table
-    a2 = np.sum(table**2, axis=0)  # (d,)
+    with np.errstate(over="ignore"):
+        a2 = np.sum(table**2, axis=0)  # (d,)
+    if not np.all(np.isfinite(a2)):  # as the Trotter chunk's norm guard stops such a table
+        raise ZeroNorm("eigenvalue squares overflow, so no amplitude of the exact solver is finite")
     mag0 = np.abs(psi0)
     with np.errstate(divide="ignore"):
         log_mag0 = np.where(mag0 > 0.0, np.log(np.where(mag0 > 0.0, mag0, 1.0)), -np.inf)
-    phase0 = np.where(mag0 > 0.0, psi0 / np.where(mag0 > 0.0, mag0, 1.0), 0.0)
+    big = 2.0**600  # lifts a subnormal |psi0_a| (|psi0| = 1) and keeps every quotient's bits
+    phase0 = np.where(mag0 > 0.0, (psi0 * big) / np.where(mag0 > 0.0, mag0 * big, 1.0), 0.0)
     nc, _, ncp = x_cp.shape
     d = psi0.size
     amps = np.empty((nc, ncp, d), dtype=np.complex128)
     logw = np.empty((nc, ncp))
     for j in range(ncp):
-        expo = log_mag0[None, :] + np.tensordot(x_cp[:, :, j], table, axes=(1, 0))
-        expo -= gamma_f_cp[j] * a2[None, :]
-        peak = expo.max(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite exponent fails the peak check
+            expo = log_mag0[None, :] + np.tensordot(x_cp[:, :, j], table, axes=(1, 0))
+            expo -= gamma_f_cp[j] * a2[None, :]
+            peak = expo.max(axis=1)
         if not np.all(np.isfinite(peak)):
             raise ZeroNorm("all amplitudes vanished in the exact solver")
         v = np.exp(expo - peak[:, None]) * phase0[None, :]

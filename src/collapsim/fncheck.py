@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnknownFunctional
+from .errors import ConfigError, NumericalError, UnknownFunctional
 from .kernels import (
     CorrelationKernel,
     KernelFamily,
@@ -112,28 +112,27 @@ def fn_validate(
     f_val = kernel_double_integral(kernel, grid.t1, grid.t0)
     x_t, w_end = _endpoints(kernel, grid, n, master_seed)
     f_of, df_of, closed_form = _MENU[functional]
-    f_vals, df_vals = f_of(x_t), df_of(x_t)
-
-    lhs_samples = f_vals * w_end
-    rhs_samples = (gamma * g_val) * df_vals
-    diff = lhs_samples - rhs_samples
-    lhs = fsum_ordered(lhs_samples) / n
-    rhs = fsum_ordered(rhs_samples) / n
-    lhs_err = _stderr(lhs_samples, lhs)
-    diff_mean = fsum_ordered(diff) / n
-    diff_err = _stderr(diff, diff_mean)
-    sigmas = abs(diff_mean) / diff_err if diff_err > 0 else (0.0 if diff_mean == 0 else math.inf)
-    return FnReport(
-        kernel_family=kernel.family.value,
-        functional=functional,
-        n=n,
-        lhs=lhs,
-        lhs_stderr=lhs_err,
-        rhs=rhs,
-        diff_stderr=diff_err,
-        sigmas=sigmas,
-        rhs_analytic=closed_form(gamma, g_val, f_val),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range fails the run below
+        f_vals, df_vals = f_of(x_t), df_of(x_t)
+        lhs_samples = f_vals * w_end
+        rhs_samples = (gamma * g_val) * df_vals
+        diff = lhs_samples - rhs_samples
+        try:  # math.fsum and math.exp raise past the float range, where numpy gives inf or nan
+            lhs = fsum_ordered(lhs_samples) / n
+            rhs = fsum_ordered(rhs_samples) / n
+            lhs_err = _stderr(lhs_samples, lhs)
+            diff_mean = fsum_ordered(diff) / n
+            diff_err = _stderr(diff, diff_mean)
+            sigmas = abs(diff_mean) / diff_err if diff_err > 0 else (0.0 if diff_mean == 0 else math.inf)
+            analytic = closed_form(gamma, g_val, f_val)
+            finite = all(map(math.isfinite, (lhs, rhs, lhs_err, diff_err, sigmas, analytic)))
+        except (OverflowError, ValueError):  # fsum of inf and -inf is a ValueError
+            finite = False
+    if not finite:
+        raise NumericalError(f"fn-check {functional} on the {kernel.family.value} kernel leaves the float range: "
+                             "a sample or statistic overflows, or the paired stderr underflows to 0")
+    return FnReport(kernel_family=kernel.family.value, functional=functional, n=n, lhs=lhs, lhs_stderr=lhs_err,
+                    rhs=rhs, diff_stderr=diff_err, sigmas=sigmas, rhs_analytic=analytic)
 
 
 @functools.lru_cache(maxsize=1)

@@ -29,27 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InvalidInterval,
-    OutOfRange,
-    UnsupportedPointwiseEval,
-)
+from .errors import ConfigError, InvalidInterval, OutOfRange, UnsupportedPointwiseEval
 
 __all__ = [
-    "KernelFamily",
-    "CorrelationKernel",
-    "DivergenceReport",
-    "white_kernel",
-    "gaussian_kernel",
-    "exponential_kernel",
-    "tabulated_kernel",
-    "kernel_from_config",
-    "load_kernel_table",
-    "kernel_eval",
-    "kernel_cumulative",
-    "kernel_double_integral",
-    "divergence_check",
+    "KernelFamily", "CorrelationKernel", "DivergenceReport", "white_kernel", "gaussian_kernel", "exponential_kernel",
+    "tabulated_kernel", "kernel_from_config", "load_kernel_table", "kernel_eval", "kernel_cumulative",
+    "kernel_double_integral", "divergence_check",
 ]
 
 class KernelFamily(enum.Enum):
@@ -78,8 +63,7 @@ class CorrelationKernel:
         if self.gamma is None or not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ConfigError(f"kernel strength gamma must be positive, got {self.gamma}")
         if self.family in (KernelFamily.GAUSSIAN, KernelFamily.EXPONENTIAL):
-            if self.tau is None or not (self.tau > 0.0 and math.isfinite(self.tau)):
-                raise ConfigError(f"{self.family.value} kernel needs a positive tau")
+            _require_tau(self.family, self.tau, "tau")
         if self.family is KernelFamily.TABULATED:
             lags, vals = self.table_lags, self.table_values
             if lags is None or vals is None:
@@ -106,6 +90,15 @@ def require_strength(gamma: float) -> None:
         raise ConfigError(f"gamma must be finite and >= 0, got {gamma!r}")
 
 
+def _require_tau(family: KernelFamily, tau, where: str) -> None:
+    """A ConfigError naming ``where`` unless tau > 0 leaves D's scale finite and nonzero: 2 tau^2 under the
+    Gaussian's exponent, which also bounds its D(0), or the exponential's D(0) = 1/(2 tau)."""
+    gaussian = family is KernelFamily.GAUSSIAN
+    if not (tau is not None and tau > 0.0 and 0.0 < (2.0 * tau * tau if gaussian else 0.5 / tau) < math.inf):
+        raise ConfigError(f"{where} of the {family.value} kernel must be > 0 with "
+                          f"{'2 tau^2' if gaussian else 'D(0)'} finite and nonzero, got {tau!r}")
+
+
 def white_kernel(gamma: float) -> CorrelationKernel:
     return CorrelationKernel(KernelFamily.WHITE, gamma)
 
@@ -120,12 +113,8 @@ def exponential_kernel(gamma: float, tau: float) -> CorrelationKernel:
 
 def tabulated_kernel(gamma: float, lags, values) -> CorrelationKernel:
     """Symmetric stationary table D(|lag|); D is zero beyond the last lag."""
-    return CorrelationKernel(
-        KernelFamily.TABULATED,
-        gamma,
-        table_lags=np.asarray(lags, dtype=float),
-        table_values=np.asarray(values, dtype=float),
-    )
+    lags, values = np.asarray(lags, dtype=float), np.asarray(values, dtype=float)
+    return CorrelationKernel(KernelFamily.TABULATED, gamma, table_lags=lags, table_values=values)
 
 
 def _numeric_rows(path, ncols: int) -> np.ndarray:
@@ -164,7 +153,9 @@ def kernel_from_config(block: dict, base_dir=None) -> CorrelationKernel:
         family = KernelFamily(block["family"])
     except (KeyError, ValueError):
         raise ConfigError(f"unknown kernel family in {block!r}")
-    if block.get("tau") is not None and family not in (KernelFamily.GAUSSIAN, KernelFamily.EXPONENTIAL):
+    if family in (KernelFamily.GAUSSIAN, KernelFamily.EXPONENTIAL):
+        _require_tau(family, block.get("tau"), "kernel.tau")
+    elif block.get("tau") is not None:
         raise ConfigError(f"kernel.tau is not used by the {family.value} family")
     if block.get("table_path") is not None and family is not KernelFamily.TABULATED:
         raise ConfigError(f"kernel.table_path is not used by the {family.value} family")
@@ -218,17 +209,16 @@ def kernel_eval(kernel: CorrelationKernel, t1: float, t2: float):
     lag = np.abs(t1 - t2)
     fam = kernel.family
     if fam is KernelFamily.WHITE:
-        raise UnsupportedPointwiseEval(
-            "white noise has no pointwise kernel value; use the discrete covariance"
-        )
-    if fam is KernelFamily.GAUSSIAN:
-        tau = kernel.tau
-        out = np.exp(-(lag**2) / (2.0 * tau * tau)) / (math.sqrt(2.0 * math.pi) * tau)
-    elif fam is KernelFamily.EXPONENTIAL:
-        tau = kernel.tau
-        out = np.exp(-lag / tau) / (2.0 * tau)
-    else:
-        out = _table_interp(kernel, lag)
+        raise UnsupportedPointwiseEval("white noise has no pointwise kernel value; use the discrete covariance")
+    with np.errstate(over="ignore"):  # a lag whose square or ratio to tau overflows has D = 0
+        if fam is KernelFamily.GAUSSIAN:
+            tau = kernel.tau
+            out = np.exp(-(lag**2) / (2.0 * tau * tau)) / (math.sqrt(2.0 * math.pi) * tau)
+        elif fam is KernelFamily.EXPONENTIAL:
+            tau = kernel.tau
+            out = np.exp(-lag / tau) / (2.0 * tau)
+        else:
+            out = _table_interp(kernel, lag)
     return float(out) if out.ndim == 0 else out
 
 
@@ -307,9 +297,12 @@ def kernel_double_integral(kernel: CorrelationKernel, t: float, t0: float) -> fl
         tau = kernel.tau
         if span == 0.0:
             return 0.0
-        return span * math.erf(span / (math.sqrt(2.0) * tau)) + tau * math.sqrt(
-            2.0 / math.pi
-        ) * (math.exp(-(span**2) / (2.0 * tau * tau)) - 1.0)
+        z = span / (math.sqrt(2.0) * tau)
+        try:
+            tail = math.exp(-(span**2) / (2.0 * tau * tau))
+        except OverflowError:  # span**2 past the float range; span * span would change bits below it
+            tail = math.exp(-z * z)
+        return span * math.erf(z) + tau * math.sqrt(2.0 / math.pi) * (tail - 1.0)
     return 2.0 * _table_moments(kernel, span)[1]
 
 

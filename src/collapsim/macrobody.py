@@ -65,10 +65,7 @@ class MacroParams:
     def __post_init__(self):
         if self.alpha <= 0 or self.lam <= 0:
             raise ConfigError("alpha and lambda must be positive")
-        if self.beta is None:
-            object.__setattr__(self, "beta", SPEED_OF_LIGHT_CM_S**2 * self.alpha)
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
+        object.__setattr__(self, "beta", require_beta(self.alpha, self.beta))
 
     @property
     def gamma(self) -> float:
@@ -79,6 +76,14 @@ class MacroParams:
     def reduction_rate_coeff(self) -> float:
         """gamma (alpha/4pi)^(3/2), which cancels algebraically to lambda."""
         return self.lam
+
+
+def require_beta(alpha: float, beta: float | None, where: str = "beta") -> float:
+    """beta, or c^2 alpha in its place, or a ConfigError naming ``where`` unless that is finite and > 0."""
+    value = SPEED_OF_LIGHT_CM_S**2 * alpha if beta is None else beta
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{where} (c^2 alpha when not given) must be finite and > 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +155,7 @@ def smeared_density(body: MacroBody, q: np.ndarray, x: np.ndarray, params: Macro
 
 
 @functools.lru_cache(maxsize=1)
+@np.errstate(over="ignore")  # a square past the float range is inf, and its exponential 0
 def _pair_bracket(body: MacroBody, q1: tuple, q2: tuple, alpha: float) -> float:
     """sum_ij [e^{-(alpha/4)(qi-qj)^2} - e^{-(alpha/4)(dq+qi-qj)^2}], dq = q1 - q2, 0 at dq = 0.
 
@@ -231,8 +237,9 @@ def _gamma_ratio_time_integral(params: MacroParams, t: float) -> float:
     k = 0.5 * math.sqrt(params.beta)
     span = t - params.t0
     z = k * span
+    tail = math.exp(-(z**2)) if z < 1e154 else 0.0  # past 1e154 z**2 overflows, and the exponential is 0 anyway
     # int_0^T erf(k u) du = T erf(kT) + (e^{-k^2 T^2} - 1)/(k sqrt(pi)); erf(kT) is _gamma_ratio
-    return span * _gamma_ratio(params, t) + (math.exp(-(z**2)) - 1.0) / (k * math.sqrt(math.pi))
+    return span * _gamma_ratio(params, t) + (tail - 1.0) / (k * math.sqrt(math.pi))
 
 
 def com_offdiag_decay(

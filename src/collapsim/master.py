@@ -76,6 +76,12 @@ def _rk4_density(rho0, grid, rhs, cp_idx):
     return out
 
 
+def require_finite_gaps(aset: CommutingSet, where: str = "eigenvalue table") -> None:
+    """A ConfigError naming ``where`` unless every gap W_ab is finite; no step count passes the step rule otherwise."""
+    if not np.all(np.isfinite(aset.pairwise_gap_sq())):
+        raise ConfigError(f"{where} has gaps W_ab = sum_i (a_ia - a_ib)^2 past the float range")
+
+
 def require_stable_step(h0, aset: CommutingSet, grid: TimeGrid, rate, where: str = "step count") -> None:
     """A ConfigError naming ``where``, and the least step count that passes, unless the step
     margin dt * (max over the nodes of rate * max W + the spread of H0's eigenvalues) is at most
@@ -103,6 +109,7 @@ def _evolve_master(h0, aset: CommutingSet, rho0: DensityMatrix, grid: TimeGrid, 
     cp_idx = checkpoint_schedule(grid, checkpoints)
     w = aset.pairwise_gap_sq()
     h0m = validate_hamiltonian(h0, rho0.dim) if h0 is not None else None
+    require_finite_gaps(aset)
     require_stable_step(h0m, aset, grid, rate)
 
     def rhs(rho, t):
@@ -159,7 +166,7 @@ def offdiag_analytic(
     if gap == 0.0:
         return 1.0
     f = kernel_double_integral(kernel, t, t0)
-    return math.exp(-0.5 * kernel.gamma * gap * f)
+    return math.exp(-0.5 * kernel.gamma * gap * f) if f else 1.0  # an overflowing gap times f = 0 is NaN
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,12 @@ __all__ = [
 _JITTERS = (1.0e-12, 1.0e-10, 1.0e-8)
 
 
+def require_t1_after_t0(t0: float, t1: float, steps: int, where: str = "t1") -> None:
+    """A ConfigError naming ``where`` unless t1 exceeds t0 by a finite span whose steps are nonzero."""
+    if not (t1 - t0 < math.inf and (t1 - t0) / steps > 0.0):
+        raise ConfigError(f"{where} must exceed t0 by a finite span of {steps} nonzero steps, got [{t0}, {t1}]")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = t0 + k dt, k = 0..steps."""
@@ -68,10 +74,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1) and self.t1 > self.t0):
-            raise ConfigError(f"need finite t1 > t0, got [{self.t0}, {self.t1}]")
         if self.steps < 1:
             raise ConfigError(f"grid needs at least one step, got {self.steps}")
+        require_t1_after_t0(self.t0, self.t1, self.steps)
 
     @property
     def dt(self) -> float:

@@ -1,16 +1,19 @@
 """End-to-end CLI behavior: validation, artifacts, determinism, exit codes."""
 
+import contextlib
 import copy
 import csv
+import io
 import inspect
 import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from collapsim import cli
@@ -217,6 +220,10 @@ def fn_config():
     }
 
 
+def gaussian_traj_config():
+    return with_value(traj_config(), "kernel.family", "gaussian")
+
+
 def with_value(cfg, where, value):
     """A copy of ``cfg`` with the dotted key ``where`` set to ``value``."""
     cfg = copy.deepcopy(cfg)
@@ -321,6 +328,13 @@ def test_float_keys_reject_non_numbers(tmp_path, capsys, case, value):
         (traj_config, "system.hamiltonian", [[0.0, 1.0], [0.0, 0.0]]),
         (macro_config, "macro.times", [1.0e-6, -1.0]),
         (traj_config, "reduction.min_decided", 1.5),
+        (traj_config, "kernel.gamma", 0),
+        (traj_config, "kernel.tau", 0),
+        (macro_config, "macro.alpha", 0),
+        (macro_config, "macro.beta", -1),
+        (traj_config, "grid.t1", 0.0),
+        (traj_config, "system.eigenvalues", []),
+        (gaussian_traj_config, "kernel.tau", None),
     ],
 )
 def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, base, where, value):
@@ -354,10 +368,12 @@ def test_readme_example_and_keys_match_schema():
     (example,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
     _, ens, runner, _ = _plan(json.loads(example), base_dir=".")
     assert runner is _run_trajectories and ens["trajectories"] == 10000
-    missing = [
-        f"{block}.{key}" for block, keys in _SCHEMA.items() for key in keys if f"`{key}`" not in readme
-    ]
-    assert not missing
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in readme.splitlines() if line.startswith("| ")]
+    for block, keys in _SCHEMA.items():
+        label = "top level" if block == "config" else f"`{block}`"
+        for key, (_, _, bound) in keys.items():
+            (row,) = [r for r in rows if r[0] == label and f"`{key}`" in r[1].split(", ")]
+            assert row[4] == (bound or ""), (block, key, row[4])  # the bound column states the interval as is
 
 
 def test_missing_config_and_bad_json(tmp_path):
@@ -785,14 +801,17 @@ def master_config():
     ("kernel", {"family": "white", "gamma": 60.0}, "480"),
     ("kernel", {"family": "gaussian", "gamma": 200.0, "tau": 0.05}, "1600"),
     ("system.hamiltonian", [[0.0, 60.0], [60.0, 0.0]], "488"),
-    ("system.eigenvalues", [[1e200, -1e200]], "inf"),  # the gaps overflow
+    ("system.eigenvalues", [[1e200, -1e200]], None),  # the gaps overflow, so no step count passes
 ])
 def test_unstable_master_step_exits_2_naming_the_least_steps(tmp_path, capsys, where, value, least):
     # each exited 0 before the step rule, its coherences blown up or NaN
     code, wrote = run_bad(tmp_path, with_value(master_config(), where, value))
     assert code == 2 and not wrote
     err = capsys.readouterr().err
-    assert "grid.steps gives a master-equation step margin" in err and f"passes is {least}\n" in err
+    if least is None:
+        assert "system.eigenvalues has gaps" in err and "grid.steps" not in err
+    else:
+        assert "grid.steps gives a master-equation step margin" in err and f"passes is {least}\n" in err
 
 
 def test_malformed_body_rows_exit_2_naming_the_line(tmp_path, capsys):
@@ -810,3 +829,151 @@ def test_malformed_body_rows_exit_2_naming_the_line(tmp_path, capsys):
         MacroBody.from_csv(tmp_path / "gap.csv")
     (tmp_path / "ok.csv").write_text("\ni,qx,qy,qz\n\n0,0,0,0\n1,1e-5,0,0\n")
     assert MacroBody.from_csv(tmp_path / "ok.csv").num_constituents == 2
+
+
+# Whole configs for every task, each key drawn by its _SCHEMA kind.  Up to three keys
+# leave their typical value: a float then takes 0, a negative, 5e-324, 1e-300 or
+# 1e300, and an int or a list length a small value; sizes stay small.
+_TYPICAL = {
+    "system.dimension": 2, "system.eigenvalues": 0.5, "system.initial_amplitudes": 0.6, "system.hamiltonian": 0.5,
+    "kernel.gamma": 1.0, "kernel.tau": 0.25, "grid.t0": 0.0, "grid.t1": 1.5, "grid.steps": 40,
+    "ensemble.trajectories": 64, "ensemble.master_seed": 7, "ensemble.workers": 1, "ensemble.checkpoints": 4,
+    "reduction.threshold": 0.6, "reduction.min_decided": 0.2, "macro.alpha": 1e10, "macro.lambda": 1e-16,
+    "macro.beta": 1.0, "macro.t0": 0.0, "macro.displacements": 1e-4, "macro.times": 1e-6,
+    "macro.body.lattice_sites": 4, "macro.body.spacing_cm": 1.2e-4,
+}
+_ODD_INTS = {
+    "system.dimension": st.integers(0, 3), "grid.steps": st.integers(-1, 64),
+    "ensemble.trajectories": st.integers(-1, 64), "ensemble.master_seed": st.sampled_from([-1, 0, 2**64 - 1, 2**64]),
+    "ensemble.workers": st.integers(0, 2), "ensemble.checkpoints": st.integers(1, 8),
+    "macro.body.lattice_sites": st.integers(0, 16),
+}
+_FILES = {"kernel.table_path": ("table.csv", "lag,D\n0,1.0\n0.5,0.5\n1.0,0.0\n"),
+          "macro.body.csv": ("body.csv", "i,qx,qy,qz\n0,0,0,0\n1,1e-5,0,0\n"), "output.directory": ("run", None)}
+_NAMED_KEYS = [key if block == "config" else f"{block}.{key}" for block, keys in _SCHEMA.items()
+               for key, (kind, _, _) in keys.items() if block != "config" or kind != "object"]  # not a bare block
+
+
+@st.composite
+def whole_configs(draw):
+    """A config with every block.  tau and table_path appear with the families that read them,
+    other optional keys at random; the system block's lists are ``dimension`` long."""
+    odd = draw(st.sets(st.sampled_from(sorted(_TYPICAL) + ["functionals"]), max_size=3))
+    dim = draw(_ODD_INTS["system.dimension"]) if "system.dimension" in odd else 2  # drawn first: lists follow it
+
+    def number(where, i=0):
+        typical = _TYPICAL[where] * (i + 1)  # list entries differ
+        if where not in odd:
+            return typical
+        return draw(st.sampled_from([typical, 0.0, -abs(typical) or -1.0, 5e-324, 1e-300, 1e300]))
+
+    def value(where, kind, i=0):
+        if isinstance(kind, tuple):
+            return draw(st.sampled_from(kind))
+        if isinstance(kind, list):
+            if where == "system.hamiltonian":  # diagonal, so Hermitian and commuting
+                return [[number(where) if r == c else 0.0 for c in range(dim)] for r in range(dim)]
+            length = {"system.eigenvalues": 1, "system.initial_amplitudes": dim, "functionals": 3}.get(where, 2)
+            if where in odd and where != "system.initial_amplitudes":
+                length = draw(st.integers(0, 3))
+            if kind[0] == ["float"]:  # the eigenvalue table: rows of dimension numbers
+                return [[number(where, c) for c in range(dim)] for _ in range(length)]
+            return [value(where, kind[0], j) for j in range(length)]
+        if kind == "int":
+            return dim if where == "system.dimension" else draw(_ODD_INTS[where]) if where in odd else _TYPICAL[where]
+        if kind == "float":
+            return number(where, i)
+        if kind == "complex":
+            return number(where, i) if draw(st.booleans()) else [number(where, i), number(where, i)]
+        if kind == "bool":
+            return draw(st.booleans())
+        if kind == "str":
+            return _FILES[where][0]
+        return block(where)
+
+    def block(name):
+        prefix = "" if name == "config" else name + "."
+        return {key: value(prefix + key, kind) for key, (kind, default, _) in _SCHEMA[name].items()
+                if default is cli._REQUIRED or default == {} or draw(st.booleans())}
+
+    cfg = block("config")
+    kernel = cfg["kernel"] = {key: cfg["kernel"][key] for key in ("family", "gamma")}
+    if kernel["family"] in ("gaussian", "exponential"):
+        kernel["tau"] = number("kernel.tau")
+    if kernel["family"] == "tabulated":
+        kernel["table_path"] = _FILES["kernel.table_path"][0]
+    return cfg
+
+
+def _gaussian(cfg):
+    return with_value(cfg, "kernel", {"family": "gaussian", "gamma": 1.0, "tau": 0.3})
+
+
+_PINNED = [  # each exited 2 without naming its key, exited 1, or warned
+    with_value(traj_config(), "kernel.gamma", 0), with_value(traj_config(), "kernel.tau", 0),
+    with_value(macro_config(), "macro.alpha", 0), with_value(macro_config(), "macro.beta", -1),
+    with_value(traj_config(), "grid.t1", 0.0), with_value(traj_config(), "system.eigenvalues", []),
+    with_value(traj_config(), "kernel", {"family": "gaussian", "gamma": 1.0}),
+    with_value(master_config(), "system.eigenvalues", [[1e200, -1e200]]),
+    with_value(with_value(traj_config(n=50), "kernel", {"family": "white", "gamma": 1.0}), "system.eigenvalues",
+               [[1e200, -1e200]]),
+    *(with_value(_gaussian(white_diag_config()), "kernel.tau", tau) for tau in (1e-300, 5e-324)),
+    with_value(white_diag_config(), "grid.t1", 1e300), with_value(_gaussian(white_diag_config()), "grid.t1", 1e300),
+    with_value(_gaussian(white_diag_config()), "grid.t0", -1e300),
+    with_value(traj_config(n=50), "kernel.tau", 5e-324),
+    with_value(fn_config(), "kernel.gamma", 1e300), with_value(_gaussian(fn_config()), "kernel.tau", 1e-300),
+    with_value(fn_config(), "grid.t1", 1e300),
+    *(with_value(macro_config(), "macro.displacements", [x]) for x in (1e300, -1e300)),
+    *(with_value(macro_config(), "macro.body.spacing_cm", x) for x in (1e300, -1e300)),
+    with_value(traj_config(), "ensemble.master_seed", 2**64), with_value(fn_config(), "functionals", []),
+    with_value(macro_config(), "macro.times", []), with_value(macro_config(), "macro.displacements", []),
+    with_value(with_value(macro_config(), "macro.alpha", 1e300), "macro.times", [0.0]),  # c^2 alpha overflows
+    with_value(with_value(macro_config(), "macro.beta", 1.0), "macro.times", [1e300]),
+]
+
+
+def _finite_cells(path, white):
+    """False if a cell of the CSV at ``path`` reads as a non-finite number, but a white kernel's D column."""
+    header, rows = read_csv(path)
+    skip = header.index("D") if white and path.name == "kernel_diag.csv" else None
+    for row in rows:
+        for i, cell in enumerate(row):
+            try:
+                number = float(cell)
+            except ValueError:  # an outcome label
+                continue
+            if i != skip and not math.isfinite(number):
+                return False
+    return True
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cfg=whole_configs())
+def test_every_whole_config_exits_0_2_or_3(tmp_path_factory, cfg):
+    # exit 2 names its key and writes nothing, exit 3 leaves the started manifest, exit 0 writes
+    # finite numbers, and no RuntimeWarning escapes; the pinned configs below each failed once
+    run_dir = tmp_path_factory.mktemp("whole")
+    for name, text in _FILES.values():
+        if text is not None:
+            (run_dir / name).write_text(text)
+    out, err = run_dir / "out", io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["--config", write_config(run_dir, cfg), "--out", str(out)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 2:
+        assert not out.exists()
+        assert any(where in err.getvalue() for where in _NAMED_KEYS) or " line " in err.getvalue(), err.getvalue()
+        return
+    manifest = json.loads((out / "manifest.json").read_text())
+    if code == 3:
+        assert manifest["status"] == "started" and os.listdir(out) == ["manifest.json"]
+        return
+    assert manifest["status"] == "complete"
+    white = cfg.get("kernel", {}).get("family") == "white"
+    assert all(_finite_cells(out / name, white) for name in manifest["artifacts"]), manifest["artifacts"]
+
+
+for _cfg in _PINNED:
+    test_every_whole_config_exits_0_2_or_3 = example(cfg=_cfg)(test_every_whole_config_exits_0_2_or_3)

@@ -84,11 +84,16 @@ def test_colored_master_exponential_rate_factor(two_state, rho_born):
         assert rate == pytest.approx(want, rel=1e-3)
 
 
-def test_offdiag_analytic_values(two_state):
+def test_offdiag_analytic_values(two_state, rho_born):
     assert offdiag_analytic(two_state, white_kernel(0.5), 0, 0, 5.0, 0.0) == 1.0
     # (gamma/2) (Delta a)^2 f = 0.25 * 4 * 1 = 1 -> e^{-1}
     val = offdiag_analytic(two_state, white_kernel(0.5), 0, 1, 1.0, 0.0)
     assert val == pytest.approx(0.36787944117144233, rel=1e-14)
+    # a gap that overflows: no damping yet at t = t0, and no step count for the integrator
+    wide = CommutingSet([[1e200, -1e200]])
+    assert offdiag_analytic(wide, white_kernel(1.0), 0, 1, 0.0, 0.0) == 1.0
+    with pytest.raises(ConfigError, match="eigenvalue table has gaps"):
+        evolve_lindblad_csl(None, wide, rho_born, TimeGrid(0.0, 1.0, 40), 1.0)
 
 
 @pytest.mark.parametrize(
