@@ -801,14 +801,14 @@ def master_config():
     ("kernel", {"family": "white", "gamma": 60.0}, "480"),
     ("kernel", {"family": "gaussian", "gamma": 200.0, "tau": 0.05}, "1600"),
     ("system.hamiltonian", [[0.0, 60.0], [60.0, 0.0]], "488"),
-    ("system.eigenvalues", [[1e200, -1e200]], None),  # the gaps overflow, so no step count passes
+    ("system.eigenvalues", [[1e200, -1e200]], "inf"),  # the gaps overflow, so no step count passes
 ])
 def test_unstable_master_step_exits_2_naming_the_least_steps(tmp_path, capsys, where, value, least):
     # each exited 0 before the step rule, its coherences blown up or NaN
     code, wrote = run_bad(tmp_path, with_value(master_config(), where, value))
     assert code == 2 and not wrote
     err = capsys.readouterr().err
-    if least is None:
+    if least == "inf":
         assert "system.eigenvalues has gaps" in err and "grid.steps" not in err
     else:
         assert "grid.steps gives a master-equation step margin" in err and f"passes is {least}\n" in err
