@@ -32,9 +32,8 @@ from .kernels import KernelFamily, eval_zero_extended, kernel_cumulative, kernel
 from .macrobody import (DEFAULT_ALPHA, DEFAULT_LAMBDA, MacroBody, MacroParams, com_offdiag_decay, macro_damping_rate,
                         require_after_t0, require_beta)
 from .master import evolve_colored_master, evolve_lindblad_csl, require_finite_gaps, require_stable_step
-from .noise import (TimeGrid, build_covariance, checkpoint_indices, require_t1_after_t0, sample_paths,
-                    sample_white_increments)
-from .dynamics import simulate_ensemble
+from .noise import TimeGrid, checkpoint_indices, require_t1_after_t0
+from .dynamics import ensemble_noise, simulate_ensemble
 from .fncheck import FN_FUNCTIONALS, fn_validate, require_samples
 from .reduction import born_frequencies, require_min_decided, require_threshold
 
@@ -238,23 +237,16 @@ def _run_kernel_diag(kernel, grid):
 def _dump_paths(grid, kernel, m, n, seed):
     print(f"collapsim: dumping {n} noise paths ({grid.num_nodes} nodes each); this can be a large file",
           file=sys.stderr)
-    white = kernel.family is KernelFamily.WHITE
-    factor = None if white else build_covariance(grid, kernel)
     header = ["trajectory", "k", "t_k", *(f"w_{i + 1}" for i in range(m)), *(f"x_{i + 1}" for i in range(m))]
 
-    def block(lo):  # draws the block's paths as it writes them, so memory stays bounded in n
-        hi = min(lo + _DUMP_BLOCK, n)
-        if white:
-            batch = sample_white_increments(grid, kernel.gamma, m, hi - lo, seed, lo)
-        else:
-            batch = sample_paths(factor, m, hi - lo, seed, lo)
+    def block(batch):  # each block's paths are drawn as it is written, so memory stays bounded in n
         count = batch.w.shape[-1]  # one row per step for white noise, per node otherwise
         w = batch.w.transpose(1, 0, 2).reshape(m, -1)
         x = batch.x[:, :, :count].transpose(1, 0, 2).reshape(m, -1)
-        ks = np.tile(np.arange(count), hi - lo)
-        return [np.repeat(np.arange(lo, hi), count), ks, grid.nodes()[ks], *w, *x]
+        ks = np.tile(np.arange(count), len(batch))
+        return [np.repeat(np.arange(batch.index, batch.index + len(batch)), count), ks, grid.nodes()[ks], *w, *x]
 
-    return "paths.csv", header, map(block, range(0, n, _DUMP_BLOCK))
+    return "paths.csv", header, map(block, ensemble_noise(grid, kernel, m, n, seed, _DUMP_BLOCK))
 
 
 def _run_trajectories(system, grid, kernel, ens, red):

@@ -27,6 +27,9 @@ the ``hilbert`` checks of psi0, H0 and commutation) is made once in
 ``NoiseBatch`` and results go out as an ``EnsembleResult``, one row per
 trajectory: ``evolve_csl_white`` and ``evolve_colored_commuting`` take a
 batch of one and return a one-row result from the same solver chunk.
+``ensemble_noise`` alone turns a kernel into an ensemble's noise (white
+increments, or colored paths from one Cholesky factor) in chunks by trajectory
+index; the ensemble, the CLI's paths dump and ``fncheck`` all iterate it.
 
 The general non-commuting colored equation has no closed functional
 derivative and is deliberately not time-stepped.
@@ -83,7 +86,6 @@ class EnsembleResult:
     amps: np.ndarray  # (n, ncp, d)
     log_weights: np.ndarray  # (n, ncp)
     x: np.ndarray  # (n, m, ncp)
-    master_seed: int
     method: str
     index: int  # trajectory index of row 0
 
@@ -259,9 +261,7 @@ def _single(method, aset, psi0, grid, h0, checkpoints, gamma, kernel, realizatio
     method, cp_idx, chunk = _solver(method, aset, psi0, grid, h0, checkpoints, gamma, kernel)
     x_cp = realization.x[:, :, cp_idx]
     amps, logw = chunk(realization.kind, realization.w, x_cp)
-    return EnsembleResult(
-        grid, grid.nodes()[cp_idx], amps, logw, x_cp, realization.master_seed, method, realization.index
-    )
+    return EnsembleResult(grid, grid.nodes()[cp_idx], amps, logw, x_cp, method, realization.index)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +387,21 @@ def functional_derivative_probe(
 # ensembles
 
 
+def ensemble_noise(grid, kernel, num_processes, n, master_seed, rows, start_index=0, nodes=None):
+    """Trajectories start_index .. start_index + n - 1 as noise batches of at most ``rows`` rows, in index order.
+
+    A white kernel gives increments; any other kernel colored paths from one Cholesky factor, built here once,
+    or with ``nodes`` their "projected" values there.  A batch holds the rows one sampler call would give.
+    """
+    factor = None if kernel.family is KernelFamily.WHITE else build_covariance(grid, kernel)
+    for lo in range(start_index, start_index + n, rows):
+        size = min(rows, start_index + n - lo)
+        if factor is None:
+            yield sample_white_increments(grid, kernel.gamma, num_processes, size, master_seed, lo)
+        else:
+            yield sample_paths(factor, num_processes, size, master_seed, lo, nodes=nodes)
+
+
 def simulate_ensemble(
     aset: CommutingSet,
     psi0,
@@ -413,24 +428,16 @@ def simulate_ensemble(
     method, cp_idx, chunk = _solver(
         method, aset, psi0, grid, h0, checkpoints, kernel.gamma, kernel
     )
-    is_white = kernel.family is KernelFamily.WHITE
-    factor = None if is_white else build_covariance(grid, kernel)
-    # the closed form reads a colored x only at the checkpoints
-    nodes = cp_idx if method == "exact_commuting" and not is_white else None
-
     m = aset.num_ops
     amps = np.empty((n, len(cp_idx), aset.dim), dtype=np.complex128)
     logw = np.empty((n, len(cp_idx)))
     x_out = np.empty((n, m, len(cp_idx)))
+    # the closed form reads a colored x only at the checkpoints
+    nodes = cp_idx if method == "exact_commuting" else None
+    for batch in ensemble_noise(grid, kernel, m, n, master_seed, CHUNK, start_index, nodes):
+        rows = slice(batch.index - start_index, batch.index - start_index + len(batch))
+        x_cp = batch.x if batch.kind == "projected" else batch.x[:, :, cp_idx]
+        amps[rows], logw[rows] = chunk(batch.kind, batch.w, x_cp)
+        x_out[rows] = x_cp
 
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        if is_white:
-            batch = sample_white_increments(grid, kernel.gamma, m, hi - lo, master_seed, start_index + lo)
-        else:
-            batch = sample_paths(factor, m, hi - lo, master_seed, start_index + lo, nodes=nodes)
-        x_cp = batch.x if nodes is not None else batch.x[:, :, cp_idx]
-        amps[lo:hi], logw[lo:hi] = chunk(batch.kind, batch.w, x_cp)
-        x_out[lo:hi] = x_cp
-
-    return EnsembleResult(grid, grid.nodes()[cp_idx], amps, logw, x_out, master_seed, method, start_index)
+    return EnsembleResult(grid, grid.nodes()[cp_idx], amps, logw, x_out, method, start_index)

@@ -23,9 +23,9 @@ error, and |LHS - RHS| in units of the *paired* standard error (the two
 sides are evaluated on the same paths, so the honest error is that of the
 per-trajectory difference).
 
-The endpoint values x(t) and w(t) are drawn once per (kernel, grid, n, seed)
-and kept, so checking the menu's functionals one after another on one kernel
-object draws once; colored ones are z @ B.T at the last node, no path built.
+The endpoint values x(t) and w(t) are drawn by ``dynamics.ensemble_noise``
+once per (kernel, grid, n, seed) and kept, so checking the whole menu on one
+kernel object draws once; colored ones are z @ B.T at the last node only.
 
 White noise keeps its discrete convention: w(t) at the final node is the
 average of the two adjacent step values (the grid is extended by one step to
@@ -48,13 +48,8 @@ from .kernels import (
     kernel_cumulative,
     kernel_double_integral,
 )
-from .noise import (
-    TimeGrid,
-    build_covariance,
-    fsum_ordered,
-    sample_paths,
-    sample_white_increments,
-)
+from .dynamics import ensemble_noise
+from .noise import TimeGrid, fsum_ordered
 
 __all__ = ["FnReport", "fn_validate", "FN_FUNCTIONALS"]
 
@@ -143,24 +138,18 @@ def _endpoints(kernel: CorrelationKernel, grid: TimeGrid, n: int, master_seed: i
     the key is the object itself, and checking several functionals on one
     kernel draws its paths once.
     """
-    is_white = kernel.family is KernelFamily.WHITE
-    if is_white:
-        # one extra step so the boundary value (w_{M-1} + w_M)/2 exists
-        ext = TimeGrid(grid.t0, grid.t1 + grid.dt, grid.steps + 1)
-    else:
-        factor = build_covariance(grid, kernel)
-    x_t = np.empty(n)
-    w_end = np.empty(n)
+    white = kernel.family is KernelFamily.WHITE
     node_t = grid.steps  # index of t on the (possibly extended) node grid
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        if is_white:
-            batch = sample_white_increments(ext, kernel.gamma, 1, hi - lo, master_seed, lo)
-            w_end[lo:hi] = 0.5 * (batch.w[:, 0, node_t - 1] + batch.w[:, 0, node_t])
-            x_t[lo:hi] = batch.x[:, 0, node_t]
+    # white noise takes one extra step, so the boundary value (w_{M-1} + w_M)/2 exists
+    on = TimeGrid(grid.t0, grid.t1 + grid.dt, grid.steps + 1) if white else grid
+    x_t, w_end = np.empty(n), np.empty(n)
+    for batch in ensemble_noise(on, kernel, 1, n, master_seed, _CHUNK, nodes=None if white else [node_t]):
+        rows = slice(batch.index, batch.index + len(batch))
+        if white:
+            w_end[rows] = 0.5 * (batch.w[:, 0, node_t - 1] + batch.w[:, 0, node_t])
+            x_t[rows] = batch.x[:, 0, node_t]
         else:
-            batch = sample_paths(factor, 1, hi - lo, master_seed, lo, nodes=[node_t])
-            w_end[lo:hi], x_t[lo:hi] = batch.w[:, 0, 0], batch.x[:, 0, 0]
+            w_end[rows], x_t[rows] = batch.w[:, 0, 0], batch.x[:, 0, 0]
     x_t.flags.writeable = False
     w_end.flags.writeable = False
     return x_t, w_end

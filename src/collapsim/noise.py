@@ -198,6 +198,9 @@ def build_covariance(grid: TimeGrid, kernel: CorrelationKernel) -> CovarianceFac
         except np.linalg.LinAlgError:
             continue
         return CovarianceFactor(grid, chol, jitter)
+    if scale < np.finfo(float).tiny:  # the strength, not the kernel's shape, is at fault
+        raise KernelNotPSD(f"kernel strength gamma = {kernel.gamma!r} is too small to factorize the covariance: "
+                           f"gamma * D(0) = {scale!r} is below the smallest normal float")
     raise KernelNotPSD(
         f"covariance for {kernel.family.value} kernel not factorizable on "
         f"{grid.num_nodes} nodes even with jitter {_JITTERS[-1]:.0e} * diag"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from collapsim import cli
+from collapsim import cli, dynamics
 from collapsim.cli import _DUMP_BLOCK, _ROW_BLOCK, _SCHEMA, _as_int, _plan, _run_trajectories, _write_csv, main
 from collapsim.dynamics import simulate_ensemble
 from collapsim.errors import ConfigError
@@ -463,20 +463,22 @@ def test_trajectories_artifacts_well_formed(tmp_path):
 
 @pytest.mark.parametrize("kernel", [{"family": "white", "gamma": 0.7}, traj_config()["kernel"]])
 def test_dump_paths_draws_one_block_at_a_time(tmp_path, monkeypatch, kernel):
-    # paths.csv streams, and so does the sampling behind it: no draw is larger than a block
+    # paths.csv streams, and so does the sampling behind it: no draw is larger than a block.
+    # The samplers are bound where the one noise owner calls them, for the ensemble and the dump.
     asked = []
     for name in ("sample_paths", "sample_white_increments"):
-        sampler = getattr(cli, name)
+        sampler = getattr(dynamics, name)
 
         def recording(*args, _sampler=sampler, **kwargs):
             asked.append(inspect.signature(_sampler).bind(*args, **kwargs).arguments["n"])
             return _sampler(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, recording)
+        monkeypatch.setattr(dynamics, name, recording)
     cfg = traj_config(n=150, extra={"kernel": kernel, "reduction": {"threshold": 0.9, "min_decided": 0.0}})
     cfg["ensemble"]["dump_paths"] = True
     assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
-    assert max(asked) <= _DUMP_BLOCK and sum(asked) == 150
+    ensemble, *dump = asked
+    assert ensemble == 150 and max(dump) <= _DUMP_BLOCK and sum(dump) == 150  # [150, 64, 64, 22]
 
 
 def test_master_task_density(tmp_path):

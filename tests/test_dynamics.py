@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from collapsim import (
     CommutingSet,
     DensityMatrix,
+    KernelFamily,
     TimeGrid,
     build_covariance,
     evolve_colored_commuting,
@@ -24,7 +25,7 @@ from collapsim import (
     white_kernel,
 )
 from collapsim import dynamics
-from collapsim.dynamics import CHUNK, bump_realization
+from collapsim.dynamics import CHUNK, bump_realization, ensemble_noise
 from collapsim.errors import ConfigError, NonCommuting
 from collapsim.hilbert import pure_density
 from collapsim.kernels import kernel_cumulative, kernel_double_integral
@@ -423,6 +424,23 @@ def test_prefix_shard_and_batch_of_one_invariance(family):
         assert np.allclose(rec.x, full.x[rows], rtol=0, atol=1e-14)
         assert np.allclose(rec.amps, full.amps[rows], rtol=0, atol=1e-12)
         assert np.allclose(rec.log_weights, full.log_weights[rows], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel, nodes", [(white_kernel(0.6), None), (gaussian_kernel(0.6, 0.2), None),
+                                           (gaussian_kernel(0.6, 0.2), [0, 13, 40])],
+                         ids=["white", "colored", "projected"])
+def test_ensemble_noise_chunks_are_one_sampler_call(kernel, nodes):
+    # the one noise owner's chunks, concatenated, are one sampler call's rows bit for bit
+    grid, m, seed = TimeGrid(0.0, 0.5, 40), 2, 21
+    batches = list(ensemble_noise(grid, kernel, m, 20, seed, rows=7, start_index=3, nodes=nodes))
+    if kernel.family is KernelFamily.WHITE:
+        whole = sample_white_increments(grid, kernel.gamma, m, 20, seed, start_index=3)
+    else:
+        whole = sample_paths(build_covariance(grid, kernel), m, 20, seed, start_index=3, nodes=nodes)
+    assert [(b.index, len(b)) for b in batches] == [(3, 7), (10, 7), (17, 6)]
+    assert {b.kind for b in batches} == {whole.kind}
+    assert np.array_equal(np.concatenate([b.w for b in batches]), whole.w)
+    assert np.array_equal(np.concatenate([b.x for b in batches]), whole.x)
 
 
 @pytest.mark.parametrize("n", [1, 3, 515, 700])

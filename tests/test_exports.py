@@ -46,6 +46,23 @@ def test_every_traced_function_exists():
     assert wanted and not missing, f"bench/tracer.py traces missing functions: {missing}"
 
 
+
+def test_tracer_blind_spots_are_known():
+    # install() spans a traced function only where another collapsim module binds it (or at a bench
+    # entry), so one called only inside its own module never gets a span and its layer reads low.
+    # The noise samplers must stay bound outside noise, or every noise.* metric reads 0.
+    tracer = _bench_tracer()
+    mods = {m: importlib.import_module(f"collapsim.{m}") for m in tracer.MODULES}
+    blind = {
+        f"{layer}.{name}"
+        for layer, names in tracer.TRACED.items()
+        for name in names
+        if (layer, name) not in tracer.ENTRIES
+        and not any(where != layer and getattr(mod, name, None) is getattr(mods[layer], name)
+                    for where, mod in mods.items())
+    }
+    assert blind == {"kernels.kernel_eval", "reduction.classify_outcomes"}
+
 def _bench_calls():
     """Every call in bench/child.py and bench/workloads.py to a name imported from collapsim, as
     (site, module, function, number of positional arguments, keyword names).  A starred

@@ -77,8 +77,11 @@ def test_covariance_white_bypasses():
 def test_covariance_not_psd_raises():
     # zig-zag table with a strongly negative spectral lobe
     k = tabulated_kernel(1.0, [0.0, 0.5, 1.0], [1.0, -0.9, 0.8])
-    with pytest.raises(KernelNotPSD):
+    with pytest.raises(KernelNotPSD, match="tabulated kernel not factorizable"):
         build_covariance(TimeGrid(0.0, 4.0, 128), k)
+    # a strength whose gamma * D(0) underflows gets the blame, not the kernel's shape
+    with pytest.raises(KernelNotPSD, match=r"gamma = 5e-324 .* gamma \* D\(0\) = 5e-324"):
+        build_covariance(TimeGrid(0.0, 1.0, 32), gaussian_kernel(5e-324, 0.3))
 
 
 @pytest.mark.parametrize(
