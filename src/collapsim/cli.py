@@ -322,16 +322,18 @@ def _run_macro_rate(params, body, displacements, times):
 def _plan(cfg, base_dir, seed=None, workers=None):
     """Validate every block the task reads; nothing is computed or written.
 
-    Returns the top-level block, the ensemble block (parsed where the task
-    reads it, with the ``--seed``/``--workers`` overrides applied), the task
-    runner and its arguments.
+    Returns the top-level block, the ensemble block (checked, with the
+    ``--seed``/``--workers`` overrides applied, where the task reads it, else
+    a null seed), the task runner and its arguments.  The overrides hold the
+    ensemble bounds for every task.
     """
     top = _block(cfg, "config")
     task = top["task"]
     overrides = {k: v for k, v in (("master_seed", seed), ("workers", workers)) if v is not None}
-    ens = {**top["ensemble"], **overrides}
+    _block(overrides, "ensemble", required=False)
+    ens = {"master_seed": None}
     if task in ("trajectories", "master", "fn-check"):
-        ens = _block(ens, "ensemble", required=task != "master")
+        ens = _block({**top["ensemble"], **overrides}, "ensemble", required=task != "master")
         if task == "fn-check":
             require_samples(ens["trajectories"], "ensemble.trajectories")
     if task == "macro-rate":
@@ -379,7 +381,7 @@ def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
         "task": top["task"],
         "status": "started",
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
-        "master_seed": ens.get("master_seed"),
+        "master_seed": ens["master_seed"],
         "workers": 1,  # the worker count the run used, whatever ensemble.workers says
         "versions": {"collapsim": __version__, "numpy": np.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},

@@ -27,10 +27,6 @@ class UnsupportedPointwiseEval(ConfigError):
     """White noise has no pointwise kernel value; use the discrete covariance path."""
 
 
-class OutOfRange(ConfigError):
-    """Tabulated kernel queried beyond the sampled lag range."""
-
-
 class InvalidInterval(ConfigError):
     """Time interval with t < t0 (or a non-finite bound where one is required)."""
 

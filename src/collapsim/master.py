@@ -140,16 +140,10 @@ def evolve_colored_master(
     grid: TimeGrid,
     kernel: CorrelationKernel,
     checkpoints=None,
-    kernel_t0: float | None = None,
 ) -> DensityPath:
-    """Colored master equation (Hamiltonian absent by scope): the rate is gamma G(t).
-
-    kernel_t0 is where the noise history starts; it defaults to grid.t0 and
-    may be -inf for the closed-form families (stationary long-history limit).
-    """
-    t0 = grid.t0 if kernel_t0 is None else kernel_t0
+    """Colored master equation (Hamiltonian absent by scope): the rate is gamma G(t; grid.t0)."""
     return _evolve_master(
-        None, aset, rho0, grid, lambda t: kernel.gamma * kernel_cumulative(kernel, t, t0), checkpoints
+        None, aset, rho0, grid, lambda t: kernel.gamma * kernel_cumulative(kernel, t, grid.t0), checkpoints
     )
 
 

@@ -100,8 +100,10 @@ class TimeGrid:
 
 
 def checkpoint_indices(grid: TimeGrid, count: int = 50) -> np.ndarray:
-    """Indices of ``count`` (at most) evenly spaced nodes, always including both ends."""
-    count = min(max(count, 2), grid.num_nodes)
+    """Indices of ``count`` (at most) evenly spaced nodes, always including both ends; ``count`` must be >= 2."""
+    if not count >= 2:
+        raise ConfigError(f"checkpoint count must be >= 2, got {count!r}")
+    count = min(count, grid.num_nodes)
     return np.unique(np.round(np.linspace(0, grid.steps, count)).astype(int))
 
 

@@ -76,7 +76,7 @@ def cook_weights(log_weights) -> CookedWeights:
     except OverflowError:
         mean_raw = math.inf
     var = fsum_ordered((scaled - mean_scaled) ** 2) / max(n - 1, 1)
-    stderr = mean_raw * math.sqrt(var / n) / mean_scaled
+    stderr = mean_raw * math.sqrt(var / n) / mean_scaled if var else 0.0  # equal weights: 0, even if mean_raw is inf
     if not n_eff >= N_EFF_FLOOR:
         raise DegenerateEnsemble(f"effective sample size {n_eff:.2f} below floor {N_EFF_FLOOR}")
     return CookedWeights(weights, n_eff, mean_raw, stderr)

@@ -235,11 +235,15 @@ def with_value(cfg, where, value):
     return cfg
 
 
-def run_bad(tmp_path, cfg):
-    """Run ``cfg``; return the exit code and whether the --out directory exists."""
+def run_bad(tmp_path, cfg, flags=()):
+    """Run ``cfg`` with the command-line ``flags``; return the exit code and whether the --out directory exists."""
     out = tmp_path / "o"
-    code = main(["--config", write_config(tmp_path, cfg), "--out", str(out)])
+    code = main(["--config", write_config(tmp_path, cfg), "--out", str(out), *flags])
     return code, out.exists()
+
+
+# a command-line override -> the key whose bound it holds
+_FLAG_KEYS = {"--seed": "ensemble.master_seed", "--workers": "ensemble.workers"}
 
 
 @pytest.mark.parametrize(
@@ -335,10 +339,19 @@ def test_float_keys_reject_non_numbers(tmp_path, capsys, case, value):
         (traj_config, "grid.t1", 0.0),
         (traj_config, "system.eigenvalues", []),
         (gaussian_traj_config, "kernel.tau", None),
+        # a command-line override holds its ensemble key's bound in a task that reads no ensemble block too
+        (white_diag_config, "--seed", -7),
+        (white_diag_config, "--workers", -3),
+        (macro_config, "--seed", 99999999999999999999999),
+        (macro_config, "--workers", 0),
     ],
 )
 def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, base, where, value):
-    code, wrote = run_bad(tmp_path, with_value(base(), where, value))
+    if where in _FLAG_KEYS:
+        code, wrote = run_bad(tmp_path, base(), [where, str(value)])
+        where = _FLAG_KEYS[where]
+    else:
+        code, wrote = run_bad(tmp_path, with_value(base(), where, value))
     assert code == 2
     assert where in capsys.readouterr().err
     assert not wrote
@@ -424,6 +437,16 @@ def test_seed_override_changes_results(tmp_path):
     assert main(["--config", cfg_path, "--out", str(c), "--seed", "999"]) == 0
     assert (a / "fncheck.csv").read_bytes() != (b / "fncheck.csv").read_bytes()
     assert (b / "fncheck.csv").read_bytes() == (c / "fncheck.csv").read_bytes()
+
+
+def test_manifest_seed_comes_from_a_checked_ensemble_block(tmp_path):
+    # a task that reads no ensemble block records no seed, whatever its config or --seed says
+    diag = with_value(white_diag_config(), "ensemble", {"master_seed": "abc"})
+    cases = [(diag, [], None), (diag, ["--seed", "5"], None), (fn_config(), ["--seed", "999"], 999)]
+    for i, (cfg, flags, seed) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(out), *flags]) == 0
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == seed
 
 
 def test_numerical_failure_leaves_started_manifest(tmp_path):
@@ -797,6 +820,47 @@ def test_trajectories_run_classifies_once(tmp_path, monkeypatch):
 def master_config():
     return {"task": "master", "system": traj_config()["system"], "kernel": {"family": "white", "gamma": 1.0},
             "grid": {"t0": 0.0, "t1": 1.0, "steps": 40}, "ensemble": {"checkpoints": 5}}
+
+
+def _required_keys(base):
+    """The dotted required keys of every block that planning ``base()`` reads with its required keys enforced
+    (``master`` reads ``ensemble`` with every key optional), from ``_SCHEMA``."""
+    read, block = [], cli._block
+
+    def spy(raw, name, required=True):
+        if required:
+            read.append(name)
+        return block(raw, name, required)
+
+    cli._block = spy
+    try:
+        _plan(base(), base_dir=".")
+    finally:
+        cli._block = block
+    return [key if name == "config" else f"{name}.{key}" for name in read
+            for key, (_, default, _) in _SCHEMA[name].items() if default is cli._REQUIRED]
+
+
+def without(cfg, where):
+    """A copy of ``cfg`` without the dotted key ``where``."""
+    cfg = copy.deepcopy(cfg)
+    *blocks, key = where.split(".")
+    block = cfg
+    for name in blocks:
+        block = block[name]
+    del block[key]
+    return cfg
+
+
+_TASK_CONFIGS = (traj_config, master_config, fn_config, macro_config, white_diag_config)
+
+
+@pytest.mark.parametrize("base, where", [(base, where) for base in _TASK_CONFIGS for where in _required_keys(base)])
+def test_missing_required_key_exits_2_naming_it(tmp_path, capsys, base, where):
+    assert sorted(config()["task"] for config in _TASK_CONFIGS) == sorted(cli.TASKS)
+    code, wrote = run_bad(tmp_path, without(base(), where))
+    assert code == 2 and not wrote
+    assert f"missing required key {where}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where, value, least", [

@@ -63,6 +63,14 @@ def test_tracer_blind_spots_are_known():
     }
     assert blind == {"kernels.kernel_eval", "reduction.classify_outcomes"}
 
+
+def test_one_pointwise_kernel_value():
+    # the tracer spans D under both names; they stay one function, so D has one definition
+    from collapsim import kernels
+
+    assert kernels.eval_zero_extended is kernels.kernel_eval
+
+
 def _bench_calls():
     """Every call in bench/child.py and bench/workloads.py to a name imported from collapsim, as
     (site, module, function, number of positional arguments, keyword names).  A starred

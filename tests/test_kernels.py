@@ -24,7 +24,6 @@ from collapsim import (
 from collapsim.errors import (
     ConfigError,
     InvalidInterval,
-    OutOfRange,
     UnsupportedPointwiseEval,
 )
 from collapsim.kernels import eval_zero_extended, kernel_from_config, load_kernel_table
@@ -94,8 +93,8 @@ def test_tabulated_interpolation_and_range():
     assert kernel_eval(k, 0.0, 0.0) == pytest.approx(0.5)
     assert kernel_eval(k, 1.0, 0.0) == pytest.approx(0.25)
     assert kernel_eval(k, 0.0, 1.0) == pytest.approx(0.25)
-    with pytest.raises(OutOfRange):
-        kernel_eval(k, 0.0, 2.5)
+    assert kernel_eval(k, 0.0, 2.5) == 0.0  # zero beyond the last lag, as G, f and the covariance take it
+    assert kernel_eval(k, [0.0, 3.0], 0.0).tolist() == [0.5, 0.0]
 
 
 def test_tabulated_rejects_bad_tables():
@@ -124,8 +123,12 @@ def test_unit_normalization_by_quadrature(family, tau):
 
 
 def test_cumulative_gaussian_infinite_history():
-    k = gaussian_kernel(2.0, 0.7)
-    assert kernel_cumulative(k, 5.0, -math.inf) == 0.5
+    # the noise starts at a finite t0 for every family: no stationary t0 = -inf history
+    lags, vals = tent_table()
+    kernels = [gaussian_kernel(2.0, 0.7), exponential_kernel(2.0, 0.7), white_kernel(2.0), tabulated_kernel(2.0, lags, vals)]
+    for k in kernels:
+        with pytest.raises(InvalidInterval, match="t0 must be finite"):
+            kernel_cumulative(k, 5.0, -math.inf)
 
 
 def test_cumulative_exponential_frozen():

@@ -55,19 +55,11 @@ def test_lindblad_gamma_zero_is_unitary_conjugation(two_state, rho_born):
 
 
 def test_colored_master_white_reduces_to_lindblad(two_state, rho_born):
+    # white noise has G = 1/2 at every t >= t0, so its colored rate gamma G is the Lindblad rate gamma / 2
     grid = TimeGrid(0.0, 1.0, 400)
     a = evolve_colored_master(two_state, rho_born, grid, white_kernel(0.8))
     b = evolve_lindblad_csl(None, two_state, rho_born, grid, 0.8)
     assert np.max(np.abs(a.rhos - b.rhos)) <= 1e-8
-
-
-def test_colored_master_gaussian_infinite_history_is_csl(two_state, rho_born):
-    # with the full stationary history the instantaneous rate is constant
-    kernel = gaussian_kernel(0.8, 0.5)
-    grid = TimeGrid(0.0, 1.0, 400)
-    path = evolve_colored_master(two_state, rho_born, grid, kernel, kernel_t0=-math.inf)
-    ref = evolve_lindblad_csl(None, two_state, rho_born, grid, 0.8)
-    assert np.max(np.abs(path.rhos - ref.rhos)) <= 1e-8
 
 
 def test_colored_master_exponential_rate_factor(two_state, rho_born):

@@ -53,6 +53,13 @@ def test_checkpoint_indices_cover_ends():
     assert small.tolist() == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("count", [1, 0, -5])
+def test_checkpoint_count_below_two_is_refused(count):
+    # both ends take two checkpoints; a smaller count is an error, not lifted to 2
+    with pytest.raises(ConfigError, match=f"checkpoint count must be >= 2, got {count}"):
+        checkpoint_indices(TimeGrid(0.0, 1.0, 10), count)
+
+
 def test_covariance_entries_frozen():
     # high-precision oracle: (1/sqrt(2 pi)) e^{-2} = 0.05399096651318806
     # checked on L L^T off the diagonal, which the jitter (on the diagonal) leaves alone;

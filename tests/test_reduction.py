@@ -64,6 +64,15 @@ def test_mean_raw_stderr_scale_free_in_log_weights(two_state, psi_born):
     )
 
 
+def test_mean_raw_stderr_when_mean_raw_overflows():
+    # equal weights have no spread, so no error even when the mean itself overflows
+    equal = cook_weights(np.full(50, 800.0))
+    assert equal.mean_raw == math.inf and equal.mean_raw_stderr == 0.0
+    # a nonzero spread of an overflowing mean is an infinite error, not NaN
+    spread = cook_weights(np.linspace(799.0, 800.0, 50))
+    assert spread.mean_raw == math.inf and spread.mean_raw_stderr == math.inf
+
+
 def test_neff_decreases_with_gamma_f(two_state, psi_born):
     neffs = []
     for gamma in (0.25, 0.5, 1.0):
