@@ -52,6 +52,7 @@ from .kernels import CorrelationKernel, KernelFamily, kernel_double_integral, re
 from .noise import (
     NoiseBatch,
     TimeGrid,
+    _projection,
     checkpoint_schedule,
     left_cumulative,
     sample_paths,
@@ -391,15 +392,17 @@ def ensemble_noise(grid, kernel, num_processes, n, master_seed, rows, start_inde
     """Trajectories start_index .. start_index + n - 1 as noise batches of at most ``rows`` rows, in index order.
 
     A white kernel gives increments; any other kernel colored paths from one Cholesky factor, built here once,
-    or with ``nodes`` their "projected" values there.  A batch holds the rows one sampler call would give.
+    or with ``nodes`` their "projected" values there, through one projection of it.  A batch holds the rows
+    one sampler call would give.
     """
     factor = None if kernel.family is KernelFamily.WHITE else build_covariance(grid, kernel)
+    b = None if factor is None or nodes is None else _projection(factor, nodes)
     for lo in range(start_index, start_index + n, rows):
         size = min(rows, start_index + n - lo)
         if factor is None:
             yield sample_white_increments(grid, kernel.gamma, num_processes, size, master_seed, lo)
         else:
-            yield sample_paths(factor, num_processes, size, master_seed, lo, nodes=nodes)
+            yield sample_paths(factor, num_processes, size, master_seed, lo, nodes=nodes, _b=b)
 
 
 def simulate_ensemble(

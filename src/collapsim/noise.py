@@ -245,6 +245,7 @@ def sample_paths(
     master_seed: int,
     start_index: int = 0,
     nodes=None,
+    _b=None,
 ) -> NoiseBatch:
     """Draw n colored realizations with trajectory indices start_index + 0..n-1.
 
@@ -252,11 +253,12 @@ def sample_paths(
     ``nodes`` (grid node indices) z_k @ B.T, B = ``_projection(factor, nodes)``:
     w and x at those nodes only, kind "projected", column j being node nodes[j].
     Either product is stacked, one GEMM per row; a single 2-D GEMM over the
-    batch would not do, as its rounding changes with n.
+    batch would not do, as its rounding changes with n.  ``_b`` is that B when
+    the caller built it once for many batches (``dynamics.ensemble_noise``).
     """
     z = _standard_normals((num_processes, factor.grid.num_nodes), n, master_seed, start_index)
     if nodes is not None:
-        wx = z @ _projection(factor, nodes).T
+        wx = z @ (_projection(factor, nodes) if _b is None else _b).T
         k = wx.shape[-1] // 2
         return NoiseBatch("projected", wx[..., :k], wx[..., k:], master_seed, start_index)
     w = z @ factor.cholesky.T  # rows of each path: independent identical processes

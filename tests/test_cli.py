@@ -747,6 +747,7 @@ def test_columnar_csvs_match_a_per_row_reference_writer(tmp_path, case):
     assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *manifest["artifacts"]])
 
 
+_ONE_BLOCK_ROWS = (2 * _ROW_BLOCK - 1, 2 * _ROW_BLOCK, 2 * _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5)
 _AWKWARD_TEXT = st.text(alphabet=list('ab (.)-é,"\n\r'), max_size=6)
 _AWKWARD_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]), st.floats())
 _AWKWARD_COLUMNS = st.one_of(
@@ -762,19 +763,83 @@ _AWKWARD_COLUMNS = st.one_of(
 @given(
     header=st.lists(_AWKWARD_TEXT, min_size=2, max_size=4),
     pools=st.lists(_AWKWARD_COLUMNS, min_size=4, max_size=4),
-    rows=st.sampled_from([0, 1, 5, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1]),
+    rows=st.sampled_from([0, 1, 5, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, *_ONE_BLOCK_ROWS]),
 )
-def test_row_block_writer_matches_csv_writer(tmp_path, header, pools, rows):
-    # each column repeats its drawn cells to the row count, as an ndarray or a list
+def test_row_block_writer_matches_csv_writer(tmp_path, monkeypatch, header, pools, rows):
+    # each column repeats its drawn cells to the row count, as an ndarray or a list; the sizes
+    # around 2 * _ROW_BLOCK are one block, which is formatted in forked shards, here up to three
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     columns = [np.resize(pool, rows) if isinstance(pool, np.ndarray) else (pool * rows)[:rows]
                for pool in pools[: len(header)]]
-    _write_csv(tmp_path / "new.csv", header, [columns, columns])
+    copies = 1 if rows in _ONE_BLOCK_ROWS else 2
+    _write_csv(tmp_path / "new.csv", header, [columns] * copies)
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for _ in range(2):
+        for _ in range(copies):
             writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _forks_at(monkeypatch, cores):
+    """Pretend this process may run on ``cores`` cores, and record the pid of each fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    forks = []
+
+    def recording_fork(_fork=os.fork):
+        pid = _fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+def test_forked_writer_bytes_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
+    # 200 trajectories x 50 checkpoints = 10,000 rows: one block of more than 2 * _ROW_BLOCK rows
+    cfg = traj_config(n=200)
+    cfg["ensemble"].update(checkpoints=50, dump_paths=True)
+    cfg_path = write_config(tmp_path, cfg)
+    outs = {}
+    for cores in (1, 2):
+        forks = _forks_at(monkeypatch, cores)
+        outs[cores] = tmp_path / f"cores{cores}"
+        assert main(["--config", cfg_path, "--out", str(outs[cores])]) == 0
+        # one usable core forks nothing; two fork once, for trajectories.csv: statistics.csv is
+        # small, and the streamed paths.csv (200 x 331 rows) stays serial
+        assert len(forks) == cores - 1
+    assert sum(1 for _ in open(outs[1] / "trajectories.csv")) == 1 + 200 * 50 > 1 + 2 * _ROW_BLOCK
+    for name in ("trajectories.csv", "statistics.csv", "paths.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+
+def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch):
+    cfg = traj_config(n=200)
+    cfg["ensemble"]["checkpoints"] = 50
+    out, seen = tmp_path / "out", tmp_path / "seen"
+    forks = _forks_at(monkeypatch, 2)
+    parent, cells = os.getpid(), cli._cells
+
+    def failing_in_child(values):
+        if os.getpid() != parent:
+            seen.write_text(str((out / "trajectories.csv").stat().st_size))  # what the parent flushed
+            raise MemoryError("formatter child fails")
+        return cells(values)
+
+    monkeypatch.setattr(cli, "_cells", failing_in_child)
+    probe = open(tmp_path / "probe", "w")
+    probe.write("written once\n")  # left in this process's buffer: a child that flushed it would repeat it
+    with pytest.raises(RuntimeError, match="exited with 1"):
+        cli.run(write_config(tmp_path, cfg), str(out))
+    probe.close()
+    assert (tmp_path / "probe").read_text() == "written once\n"
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert json.loads((out / "manifest.json").read_text())["status"] == "started"
+    header = "trajectory,t,log_weight,p_1,p_2,dominant_outcome\n"
+    assert int(seen.read_text()) == len(header)  # the parent flushed its file before it forked
 
 
 def test_no_decided_trajectory_exits_3(tmp_path, capsys):

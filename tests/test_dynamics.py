@@ -443,6 +443,20 @@ def test_ensemble_noise_chunks_are_one_sampler_call(kernel, nodes):
     assert np.array_equal(np.concatenate([b.x for b in batches]), whole.x)
 
 
+def test_ensemble_noise_projects_the_factor_once(monkeypatch):
+    # the projection B is a cumulative sum over the whole factor: one per ensemble, not one per chunk
+    built = []
+
+    def counting(factor, nodes, _projection=dynamics._projection):
+        built.append(list(nodes))
+        return _projection(factor, nodes)
+
+    monkeypatch.setattr(dynamics, "_projection", counting)
+    grid, nodes = TimeGrid(0.0, 0.5, 40), [0, 13, 40]
+    batches = list(ensemble_noise(grid, gaussian_kernel(0.6, 0.2), 2, 20, 21, rows=7, nodes=nodes))
+    assert len(batches) == 3 and built == [nodes]
+
+
 @pytest.mark.parametrize("n", [1, 3, 515, 700])
 def test_rows_do_not_depend_on_chunk_width(n):
     # a white Trotter row is bit-identical whatever the width of its chunk:
