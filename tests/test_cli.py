@@ -809,7 +809,7 @@ def test_forked_writer_bytes_do_not_depend_on_the_core_count(tmp_path, monkeypat
         # one usable core forks nothing; two fork once, for trajectories.csv: statistics.csv is
         # small, and the streamed paths.csv (200 x 331 rows) stays serial
         assert len(forks) == cores - 1
-    assert sum(1 for _ in open(outs[1] / "trajectories.csv")) == 1 + 200 * 50 > 1 + 2 * _ROW_BLOCK
+    assert (outs[1] / "trajectories.csv").read_bytes().count(b"\n") == 1 + 200 * 50 > 1 + 2 * _ROW_BLOCK
     for name in ("trajectories.csv", "statistics.csv", "paths.csv"):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
@@ -828,11 +828,10 @@ def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch):
         return cells(values)
 
     monkeypatch.setattr(cli, "_cells", failing_in_child)
-    probe = open(tmp_path / "probe", "w")
-    probe.write("written once\n")  # left in this process's buffer: a child that flushed it would repeat it
-    with pytest.raises(RuntimeError, match="exited with 1"):
-        cli.run(write_config(tmp_path, cfg), str(out))
-    probe.close()
+    with open(tmp_path / "probe", "w") as probe:
+        probe.write("written once\n")  # left in this process's buffer: a child that flushed it would repeat it
+        with pytest.raises(RuntimeError, match="exited with 1"):
+            cli.run(write_config(tmp_path, cfg), str(out))
     assert (tmp_path / "probe").read_text() == "written once\n"
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):  # every child was reaped
