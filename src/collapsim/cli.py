@@ -9,8 +9,8 @@ alone writes them: only the streamed paths.csv and macro_rate.csv are computed
 as they are written, so a numerical failure anywhere else leaves only the
 started manifest.  Identical config + seed gives byte-identical CSVs.
 ``ensemble.workers`` and ``--workers`` are validated and change nothing: every
-ensemble runs on one worker, and a large in-memory CSV is formatted on every
-usable core (``_write_forked``) whatever they say.
+ensemble runs on one worker, and a large in-memory CSV is formatted in a pool
+of forked processes on every usable core (``_write_csv``) whatever they say.
 
 Exit status: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -21,10 +21,10 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
-import signal
 import sys
-import traceback
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -46,7 +46,6 @@ _REQUIRED = object()  # schema default of a key that must be given
 _BLOCK = ("object", {}, None)
 _DUMP_BLOCK = 64  # trajectories per block of paths.csv, so a large dump streams
 _ROW_BLOCK = 4096  # CSV rows formatted and written at a time
-_PIPE_PIECE = 1 << 16  # bytes of a forked formatter's text copied into the file at a time
 _QUOTED_CHARS = frozenset(',"\n')  # csv.writer quotes a cell holding one of these
 
 # block -> key -> (JSON type, default or _REQUIRED, interval or None).
@@ -203,6 +202,11 @@ def _cells(values) -> list:
     return list(map(quoted.__getitem__, text))
 
 
+def _texts(values) -> np.ndarray:
+    """The cells of ``values`` as an object array, so that a column repeating them formats each once."""
+    return np.array(_cells(values), dtype=object)
+
+
 def _block_text(columns, lo) -> str:
     """Rows lo .. lo + _ROW_BLOCK - 1 of ``columns`` as CSV text; it depends on those rows alone."""
     cells = [_cells(col[lo : lo + _ROW_BLOCK]) for col in columns]
@@ -219,85 +223,37 @@ def _usable_cores() -> int:
 def _write_csv(path, header, blocks):
     """Write ``header``, then the rows of each block of equal-length columns (ndarrays or lists),
     ``_ROW_BLOCK`` rows at a time, so memory does not grow with the row count.  Several blocks let
-    a file stream.  An artifact that is one block of at least 2 * ``_ROW_BLOCK`` rows is formatted
-    in up to as many processes as there are usable cores (``_write_forked``).  The bytes are
+    a file stream.  An artifact that is one block of at least 2 * ``_ROW_BLOCK`` rows has its row
+    blocks formatted in a pool of up to one forked process per usable core and written here in
+    order, so this process holds only the blocks that arrived before it wrote them.  The bytes are
     csv.writer's for rows of two or more cells, whatever the process count."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_cells(header)) + "\n")
         if isinstance(blocks, list) and len(blocks) == 1 and len(blocks[0][0]) >= 2 * _ROW_BLOCK:
             cores = _usable_cores()
             if cores > 1:
-                return _write_forked(fh, blocks[0], cores)
+                starts = range(0, len(blocks[0][0]), _ROW_BLOCK)
+                fh.flush()  # before the fork, so no formatter process inherits unwritten text
+                # fork, not spawn: a forked process inherits the columns (initargs are not pickled) and numpy
+                with ProcessPoolExecutor(min(cores, len(starts)), multiprocessing.get_context("fork"),
+                                         _share_columns, (blocks[0],)) as pool:
+                    fh.writelines(pool.map(_shared_block_text, starts))
+                return
         for columns in blocks:
             for lo in range(0, len(columns[0]), _ROW_BLOCK):
                 fh.write(_block_text(columns, lo))
 
 
-def _write_forked(fh, columns, cores) -> None:
-    """Write one block's rows as ``cores`` (at most) contiguous shards of row blocks, in order.
-
-    Shard 0 is formatted here; each other shard in a forked child, which formats it whole (so a
-    child holds its shard's text) and then streams its bytes through a pipe, from which they are
-    copied into ``fh`` in pieces of ``_PIPE_PIECE`` bytes: this process holds one block's text at a
-    time, as the serial writer does.  A child ends through ``os._exit``, so it never flushes a buffer it
-    inherited; ``fh`` is flushed before the first fork, so it holds none.  A failed child raises
-    here, and every child is reaped whatever fails.
-    """
-    starts = range(0, len(columns[0]), _ROW_BLOCK)
-    count = min(cores, len(starts))
-    shards = [starts[len(starts) * s // count : len(starts) * (s + 1) // count] for s in range(count)]
-    fh.flush()
-    children = []  # (pid, read end of its pipe), in shard order
-    try:
-        for shard in shards[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:  # the child holds no read end, so it meets a closed pipe if the parent dies
-                _format_in_child(write_end, [read_end, *(fd for _, fd in children)], columns, shard, fh.encoding)
-            os.close(write_end)
-            children.append((pid, read_end))
-        for lo in shards[0]:
-            fh.write(_block_text(columns, lo))
-        fh.flush()  # the children's bytes go to the binary buffer underneath
-        while children:
-            pid, read_end = children[0]
-            while piece := os.read(read_end, _PIPE_PIECE):
-                fh.buffer.write(piece)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            os.close(read_end)
-            if code != 0:
-                raise RuntimeError(f"{fh.name}: the process formatting a shard of its rows exited with {code}")
-    finally:
-        for pid, read_end in children:
-            os.close(read_end)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+_shared_columns = None  # in a formatter process of _write_csv, the columns it formats
 
 
-def _format_in_child(write_end, read_ends, columns, shard, encoding) -> None:
-    """A forked child's whole life: close ``read_ends``, format ``shard``'s row blocks, write them to
-    ``write_end``, and leave through ``os._exit`` (status 1, after its traceback on stderr, if anything
-    failed), so no code of the parent's runs on in the child."""
-    status = 1
-    try:
-        for fd in read_ends:
-            os.close(fd)
-        # all of the shard is formatted before the first write, since the pipe fills
-        # long before the parent, busy with shard 0, starts to read it
-        text = [_block_text(columns, lo).encode(encoding) for lo in shard]
-        with open(write_end, "wb") as pipe:
-            pipe.writelines(text)
-        status = 0
-    except BaseException:
-        os.write(2, traceback.format_exc().encode(errors="replace"))
-    finally:
-        os._exit(status)
+def _share_columns(columns) -> None:
+    global _shared_columns
+    _shared_columns = columns
+
+
+def _shared_block_text(lo) -> str:
+    return _block_text(_shared_columns, lo)
 
 
 def _write_manifest(out_dir, payload):
@@ -327,13 +283,14 @@ def _dump_paths(grid, kernel, m, n, seed):
     print(f"collapsim: dumping {n} noise paths ({grid.num_nodes} nodes each); this can be a large file",
           file=sys.stderr)
     header = ["trajectory", "k", "t_k", *(f"w_{i + 1}" for i in range(m)), *(f"x_{i + 1}" for i in range(m))]
+    t_text = _texts(grid.nodes())  # each node time formatted once (integers format faster than they dedupe as text)
 
     def block(batch):  # each block's paths are drawn as it is written, so memory stays bounded in n
         count = batch.w.shape[-1]  # one row per step for white noise, per node otherwise
         w = batch.w.transpose(1, 0, 2).reshape(m, -1)
         x = batch.x[:, :, :count].transpose(1, 0, 2).reshape(m, -1)
         ks = np.tile(np.arange(count), len(batch))
-        return [np.repeat(np.arange(batch.index, batch.index + len(batch)), count), ks, grid.nodes()[ks], *w, *x]
+        return [np.repeat(np.arange(batch.index, batch.index + len(batch)), count), ks, t_text[ks], *w, *x]
 
     return "paths.csv", header, map(block, ensemble_noise(grid, kernel, m, n, seed, _DUMP_BLOCK))
 
@@ -349,12 +306,9 @@ def _run_trajectories(system, grid, kernel, ens, red):
     labels = np.array([*report.labels, "undecided"], dtype=object)
     header = ["trajectory", "t", "log_weight", *(f"p_{a + 1}" for a in range(result.dim)), "dominant_outcome"]
     probs = (np.abs(result.amps) ** 2).reshape(-1, result.dim).T
-    # each index and checkpoint time is formatted once here, and its text repeated
-    index_text = np.array(list(map(str, range(result.n))), dtype=object)
-    time_text = np.array(list(map(str, result.times.tolist())), dtype=object)
     columns = [
-        np.repeat(index_text, len(result.times)),
-        np.tile(time_text, result.n),
+        np.repeat(_texts(np.arange(result.n)), len(result.times)),
+        np.tile(_texts(result.times), result.n),
         result.log_weights.ravel(),
         *probs,
         labels[report.outcomes.ravel()],  # UNDECIDED (-1) picks the last label

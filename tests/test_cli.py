@@ -9,7 +9,10 @@ import json
 import math
 import os
 import re
+import signal
+import threading
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -750,12 +753,25 @@ def test_columnar_csvs_match_a_per_row_reference_writer(tmp_path, case):
 _ONE_BLOCK_ROWS = (2 * _ROW_BLOCK - 1, 2 * _ROW_BLOCK, 2 * _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5)
 _AWKWARD_TEXT = st.text(alphabet=list('ab (.)-é,"\n\r'), max_size=6)
 _AWKWARD_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]), st.floats())
+
+
+class _Unpicklable:
+    """A cell that only ``str`` can write: its lambda stops a pickle, so a writer must not pickle columns."""
+
+    def __init__(self, text):
+        self.text = lambda: text
+
+    def __str__(self):
+        return self.text()
+
+
 _AWKWARD_COLUMNS = st.one_of(
     st.lists(_AWKWARD_FLOATS, min_size=1, max_size=8).map(np.array),
     st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8).map(lambda v: np.array(v, dtype=np.int64)),
     st.lists(st.booleans(), min_size=1, max_size=8).map(np.array),
     st.lists(st.one_of(_AWKWARD_TEXT, _AWKWARD_FLOATS.map(np.float64), st.integers(-9, 9).map(np.int64),
                        st.booleans(), _AWKWARD_FLOATS), min_size=1, max_size=8),
+    st.lists(_AWKWARD_TEXT.map(_Unpicklable), min_size=1, max_size=8),
 )
 
 
@@ -765,9 +781,10 @@ _AWKWARD_COLUMNS = st.one_of(
     pools=st.lists(_AWKWARD_COLUMNS, min_size=4, max_size=4),
     rows=st.sampled_from([0, 1, 5, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, *_ONE_BLOCK_ROWS]),
 )
+@example(header=["a", "b"], pools=[[_Unpicklable('x,"')], np.array([1.5]), [0], [0]], rows=2 * _ROW_BLOCK)
 def test_row_block_writer_matches_csv_writer(tmp_path, monkeypatch, header, pools, rows):
     # each column repeats its drawn cells to the row count, as an ndarray or a list; the sizes
-    # around 2 * _ROW_BLOCK are one block, which is formatted in forked shards, here up to three
+    # around 2 * _ROW_BLOCK are one block, which is formatted in a pool of forked processes, here up to three
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     columns = [np.resize(pool, rows) if isinstance(pool, np.ndarray) else (pool * rows)[:rows]
                for pool in pools[: len(header)]]
@@ -805,16 +822,19 @@ def test_forked_writer_bytes_do_not_depend_on_the_core_count(tmp_path, monkeypat
     for cores in (1, 2):
         forks = _forks_at(monkeypatch, cores)
         outs[cores] = tmp_path / f"cores{cores}"
+        threads = threading.active_count()
         assert main(["--config", cfg_path, "--out", str(outs[cores])]) == 0
-        # one usable core forks nothing; two fork once, for trajectories.csv: statistics.csv is
-        # small, and the streamed paths.csv (200 x 331 rows) stays serial
-        assert len(forks) == cores - 1
+        # one usable core forks nothing; two fork one process per core, for trajectories.csv:
+        # statistics.csv is small, and the streamed paths.csv (200 x 331 rows) stays serial
+        assert len(forks) == (0 if cores == 1 else cores)
+        assert threading.active_count() == threads  # the pool's threads were joined, so no later fork meets them
     assert (outs[1] / "trajectories.csv").read_bytes().count(b"\n") == 1 + 200 * 50 > 1 + 2 * _ROW_BLOCK
     for name in ("trajectories.csv", "statistics.csv", "paths.csv"):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
-def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("failure", ["raise", "kill"])
+def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, failure):
     cfg = traj_config(n=200)
     cfg["ensemble"]["checkpoints"] = 50
     out, seen = tmp_path / "out", tmp_path / "seen"
@@ -824,16 +844,18 @@ def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch):
     def failing_in_child(values):
         if os.getpid() != parent:
             seen.write_text(str((out / "trajectories.csv").stat().st_size))  # what the parent flushed
+            if failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
             raise MemoryError("formatter child fails")
         return cells(values)
 
     monkeypatch.setattr(cli, "_cells", failing_in_child)
     with open(tmp_path / "probe", "w") as probe:
         probe.write("written once\n")  # left in this process's buffer: a child that flushed it would repeat it
-        with pytest.raises(RuntimeError, match="exited with 1"):
+        with pytest.raises(MemoryError if failure == "raise" else BrokenProcessPool):
             cli.run(write_config(tmp_path, cfg), str(out))
     assert (tmp_path / "probe").read_text() == "written once\n"
-    assert len(forks) == 1
+    assert len(forks) == 2
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
     assert json.loads((out / "manifest.json").read_text())["status"] == "started"
