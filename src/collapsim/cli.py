@@ -8,9 +8,10 @@ a fixed documented header.  Task runners return their artifacts and ``run``
 alone writes them: only the streamed paths.csv and macro_rate.csv are computed
 as they are written, so a numerical failure anywhere else leaves only the
 started manifest.  Identical config + seed gives byte-identical CSVs.
-``ensemble.workers`` and ``--workers`` are validated and change nothing: every
-ensemble runs on one worker, and a large in-memory CSV is formatted in a pool
-of forked processes on every usable core (``_write_csv``) whatever they say.
+``ensemble.workers`` and ``--workers`` are validated and change nothing: a white
+ensemble's chunks are stepped, and a large in-memory CSV is formatted
+(``_write_csv``), in a pool of forked processes on every usable core whatever
+they say, with the same bytes; a colored ensemble runs in this process.
 
 Exit status: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -21,10 +22,10 @@ import argparse
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (imported with cli: a run's first pool pays no import)
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .macrobody import (DEFAULT_ALPHA, DEFAULT_LAMBDA, MacroBody, MacroParams, c
                         require_after_t0, require_beta)
 from .master import evolve_colored_master, evolve_lindblad_csl, require_finite_gaps, require_stable_step
 from .noise import TimeGrid, checkpoint_indices, require_t1_after_t0
-from .dynamics import ensemble_noise, simulate_ensemble
+from .dynamics import _forked_map, ensemble_noise, simulate_ensemble
 from .fncheck import FN_FUNCTIONALS, fn_validate, require_samples
 from .reduction import born_frequencies, require_min_decided, require_threshold
 
@@ -213,13 +214,6 @@ def _block_text(columns, lo) -> str:
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on, or 1 where it cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _write_csv(path, header, blocks):
     """Write ``header``, then the rows of each block of equal-length columns (ndarrays or lists),
     ``_ROW_BLOCK`` rows at a time, so memory does not grow with the row count.  Several blocks let
@@ -230,30 +224,12 @@ def _write_csv(path, header, blocks):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_cells(header)) + "\n")
         if isinstance(blocks, list) and len(blocks) == 1 and len(blocks[0][0]) >= 2 * _ROW_BLOCK:
-            cores = _usable_cores()
-            if cores > 1:
-                starts = range(0, len(blocks[0][0]), _ROW_BLOCK)
-                fh.flush()  # before the fork, so no formatter process inherits unwritten text
-                # fork, not spawn: a forked process inherits the columns (initargs are not pickled) and numpy
-                with ProcessPoolExecutor(min(cores, len(starts)), multiprocessing.get_context("fork"),
-                                         _share_columns, (blocks[0],)) as pool:
-                    fh.writelines(pool.map(_shared_block_text, starts))
-                return
+            fh.flush()  # before the fork, so no formatter process inherits unwritten text
+            fh.writelines(_forked_map(partial(_block_text, blocks[0]), range(0, len(blocks[0][0]), _ROW_BLOCK)))
+            return
         for columns in blocks:
             for lo in range(0, len(columns[0]), _ROW_BLOCK):
                 fh.write(_block_text(columns, lo))
-
-
-_shared_columns = None  # in a formatter process of _write_csv, the columns it formats
-
-
-def _share_columns(columns) -> None:
-    global _shared_columns
-    _shared_columns = columns
-
-
-def _shared_block_text(lo) -> str:
-    return _block_text(_shared_columns, lo)
 
 
 def _write_manifest(out_dir, payload):
@@ -428,7 +404,7 @@ def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
         "status": "started",
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
         "master_seed": ens["master_seed"],
-        "workers": 1,  # the worker count the run used, whatever ensemble.workers says
+        "workers": 1,  # ensemble.workers changes nothing; the forked pools on the usable cores change no byte
         "versions": {"collapsim": __version__, "numpy": np.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "artifacts": [],

@@ -29,7 +29,9 @@ trajectory: ``evolve_csl_white`` and ``evolve_colored_commuting`` take a
 batch of one and return a one-row result from the same solver chunk.
 ``ensemble_noise`` alone turns a kernel into an ensemble's noise (white
 increments, or colored paths from one Cholesky factor) in chunks by trajectory
-index; the ensemble, the CLI's paths dump and ``fncheck`` all iterate it.
+index; the ensemble, the CLI's paths dump and ``fncheck`` all iterate it.  A
+white ensemble's chunks are drawn and stepped in forked processes on the usable
+cores (``_forked_map``), into one shared mapping; a colored one's run in turn.
 
 The general non-commuting colored equation has no closed functional
 derivative and is deliberately not time-stepped.
@@ -42,6 +44,8 @@ when exponents reach +-1e3.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +75,7 @@ __all__ = [
     "simulate_ensemble",
 ]
 
-CHUNK = 512  # trajectories per chunk, run one after another; ``workers`` changes nothing
+CHUNK = 512  # trajectories per chunk: one pool task each for white noise on several cores, else one after another
 METHODS = ("trotter_white", "exact_commuting", "raw_linear")
 
 
@@ -385,6 +389,40 @@ def functional_derivative_probe(
 
 
 # ---------------------------------------------------------------------------
+# a pool of forked processes (the ensemble's white chunks and ``cli``'s CSV row blocks)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on, or 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _forked_map(task, args):
+    """``task(arg)`` for each of ``args``, in order, from a pool of one forked process per usable core (at most
+    one per arg), or in this process if that is one.  Forked, each worker inherits ``task`` and what it reads, so
+    only args and results are pickled; every worker is joined before this ends, and a worker's error is raised
+    here (a killed worker's as ``BrokenProcessPool``)."""
+    workers = min(_usable_cores(), len(args))
+    if workers < 2:
+        yield from map(task, args)
+        return
+    import multiprocessing  # here, not at the top: they would add about 26 ms to ``import collapsim``
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _task.append, (task,)) as pool:
+        yield from pool.map(_run_task, args)
+
+
+_task = []  # in a worker of _forked_map, the function it applies (the pool's initializer appends it)
+
+
+def _run_task(arg):
+    return _task[0](arg)
+
+
+# ---------------------------------------------------------------------------
 # ensembles
 
 
@@ -423,24 +461,38 @@ def simulate_ensemble(
     method: "trotter_white" (white kernel, any H0), "exact_commuting" (any
     kernel, commuting or absent H0), or "raw_linear" (uncompensated).
     "auto" picks trotter_white for white kernels and exact_commuting
-    otherwise.  Chunks of ``CHUNK`` trajectories run one after another;
-    ``workers`` is accepted and changes nothing.
+    otherwise.  Chunks of ``CHUNK`` trajectories run one after another, or
+    for a white kernel one per task of a forked pool on the usable cores,
+    with the same bits; ``workers`` is accepted and changes nothing.
     """
     if n < 1:
         raise ConfigError(f"ensemble needs n >= 1 trajectories, got {n}")
     method, cp_idx, chunk = _solver(
         method, aset, psi0, grid, h0, checkpoints, kernel.gamma, kernel
     )
-    m = aset.num_ops
-    amps = np.empty((n, len(cp_idx), aset.dim), dtype=np.complex128)
-    logw = np.empty((n, len(cp_idx)))
-    x_out = np.empty((n, m, len(cp_idx)))
+    m, ncp, d = aset.num_ops, len(cp_idx), aset.dim
+    white = kernel.family is KernelFamily.WHITE
+    if white:  # amps, log weights and x on one anonymous shared mapping, made before any fork
+        flat = np.frombuffer(mmap.mmap(-1, 8 * n * ncp * (2 * d + 1 + m)))
+        amps = flat[: 2 * n * ncp * d].view(np.complex128).reshape(n, ncp, d)
+        logw = flat[2 * n * ncp * d : n * ncp * (2 * d + 1)].reshape(n, ncp)
+        x_out = flat[n * ncp * (2 * d + 1) :].reshape(n, m, ncp)
+    else:
+        amps, logw, x_out = np.empty((n, ncp, d), np.complex128), np.empty((n, ncp)), np.empty((n, m, ncp))
     # the closed form reads a colored x only at the checkpoints
     nodes = cp_idx if method == "exact_commuting" else None
-    for batch in ensemble_noise(grid, kernel, m, n, master_seed, CHUNK, start_index, nodes):
-        rows = slice(batch.index - start_index, batch.index - start_index + len(batch))
+    batches = ensemble_noise(grid, kernel, m, n, master_seed, CHUNK, start_index, nodes)
+
+    def run_chunk(lo):  # trajectories lo .. lo + CHUNK - 1, drawn, stepped and written into their rows
+        # a white chunk is drawn where it is stepped; colored chunks share one factor, so they run here in turn
+        nc = min(CHUNK, start_index + n - lo)
+        batch = next(ensemble_noise(grid, kernel, m, nc, master_seed, CHUNK, lo, nodes) if white else batches)
+        rows = slice(lo - start_index, lo - start_index + nc)
         x_cp = batch.x if batch.kind == "projected" else batch.x[:, :, cp_idx]
         amps[rows], logw[rows] = chunk(batch.kind, batch.w, x_cp)
         x_out[rows] = x_cp
+
+    for _ in (_forked_map if white else map)(run_chunk, range(start_index, start_index + n, CHUNK)):
+        pass  # a worker's rows reach this process through the mapping; only None comes back
 
     return EnsembleResult(grid, grid.nodes()[cp_idx], amps, logw, x_out, method, start_index)

@@ -201,10 +201,12 @@ def ensemble_to_density(result, mode: str = "raw") -> DensityPath:
         raise DegenerateEnsemble("all cooking weights underflow at this checkpoint")
     bsums = np.empty((nb, ncp, d, d), dtype=np.complex128)
     wsums = np.empty((nb, ncp))
+    tmp = np.empty((2, n // nb + 1, ncp, d), dtype=np.complex128)  # a batch's two products; amps' layout keeps the bits
     for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         s = np.exp(result.log_weights[lo:hi] - peak)  # (hi - lo, ncp)
         psi = result.amps[lo:hi].transpose(1, 0, 2)  # (ncp, hi - lo, d)
-        np.matmul((psi * s.T[..., None]).transpose(0, 2, 1), psi.conj(), out=bsums[b])
+        scaled = np.multiply(psi, s.T[..., None], out=tmp[0, : hi - lo].transpose(1, 0, 2))
+        np.matmul(scaled.transpose(0, 2, 1), np.conjugate(psi, out=tmp[1, : hi - lo].transpose(1, 0, 2)), out=bsums[b])
         wsums[b] = s.sum(axis=0)
     total = bsums.sum(axis=0)
     if mode == "cooked":

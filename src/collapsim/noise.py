@@ -23,8 +23,8 @@ index).  ``child_generator`` is that definition; the samplers build one Philox
 per batch and re-key it to (S, k) for each row, which yields the same stream
 (Philox is counter-based).  The colored transforms z @ L.T and z @ B.T are
 stacked products, one GEMM per row, so a row never depends on the batch it
-was drawn in: paths depend only on (S, k), never on chunking.  Ensembles run
-on one worker; a ``workers`` value is validated and changes nothing.  The
+was drawn in: paths depend only on (S, k), never on chunking, nor on the
+processes a white ensemble's chunks run in; ``workers`` changes nothing.  The
 density estimator sums each trajectory-index batch with one stacked GEMM and
 totals the batch sums; the cooking statistics still use compensated
 summation (fsum_ordered) in trajectory-index order.

@@ -1,6 +1,7 @@
 """Shared helpers for the collapsim test suite."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -54,3 +55,18 @@ def psi_three():
 
 def unit_grid(t1: float = 1.0, steps: int = 200) -> TimeGrid:
     return TimeGrid(0.0, t1, steps)
+
+
+def forks_at(monkeypatch, cores):
+    """Pretend this process may run on ``cores`` cores, and record the pid of each fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    forks = []
+
+    def recording_fork(_fork=os.fork):
+        pid = _fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from collapsim import cli, dynamics
 from collapsim.cli import _DUMP_BLOCK, _ROW_BLOCK, _SCHEMA, _as_int, _plan, _run_trajectories, _write_csv, main
 from collapsim.dynamics import simulate_ensemble
-from collapsim.errors import ConfigError
+from collapsim.errors import ConfigError, ZeroNorm
 from collapsim.fncheck import fn_validate
 from collapsim.hilbert import DensityMatrix, pure_density
 from collapsim.kernels import (
@@ -41,6 +41,8 @@ from collapsim.noise import (
     sample_white_increments,
 )
 from collapsim.reduction import UNDECIDED, born_frequencies, classify_outcomes
+
+from conftest import forks_at
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -798,21 +800,6 @@ def test_row_block_writer_matches_csv_writer(tmp_path, monkeypatch, header, pool
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def _forks_at(monkeypatch, cores):
-    """Pretend this process may run on ``cores`` cores, and record the pid of each fork."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    forks = []
-
-    def recording_fork(_fork=os.fork):
-        pid = _fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return forks
-
-
 def test_forked_writer_bytes_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
     # 200 trajectories x 50 checkpoints = 10,000 rows: one block of more than 2 * _ROW_BLOCK rows
     cfg = traj_config(n=200)
@@ -820,7 +807,7 @@ def test_forked_writer_bytes_do_not_depend_on_the_core_count(tmp_path, monkeypat
     cfg_path = write_config(tmp_path, cfg)
     outs = {}
     for cores in (1, 2):
-        forks = _forks_at(monkeypatch, cores)
+        forks = forks_at(monkeypatch, cores)
         outs[cores] = tmp_path / f"cores{cores}"
         threads = threading.active_count()
         assert main(["--config", cfg_path, "--out", str(outs[cores])]) == 0
@@ -838,7 +825,7 @@ def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, failure):
     cfg = traj_config(n=200)
     cfg["ensemble"]["checkpoints"] = 50
     out, seen = tmp_path / "out", tmp_path / "seen"
-    forks = _forks_at(monkeypatch, 2)
+    forks = forks_at(monkeypatch, 2)
     parent, cells = os.getpid(), cli._cells
 
     def failing_in_child(values):
@@ -861,6 +848,32 @@ def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, failure):
     assert json.loads((out / "manifest.json").read_text())["status"] == "started"
     header = "trajectory,t,log_weight,p_1,p_2,dominant_outcome\n"
     assert int(seen.read_text()) == len(header)  # the parent flushed its file before it forked
+
+
+def test_white_ensemble_pool_through_the_cli(tmp_path, monkeypatch, capsys):
+    # a white ensemble of two chunks is stepped in forked workers; criterion 11 covers colored ensembles only
+    cfg = traj_config(n=2 * dynamics.CHUNK, extra={"kernel": {"family": "white", "gamma": 1.0}})
+    cfg_path = write_config(tmp_path, cfg)
+    for cores in (1, 2):
+        forks = forks_at(monkeypatch, cores)
+        assert main(["--config", cfg_path, "--out", str(tmp_path / f"cores{cores}")]) == 0
+        assert len(forks) == (0 if cores == 1 else 2)  # trajectories.csv (2 x 512 x 4 rows) is written serially
+    for name in ("trajectories.csv", "statistics.csv"):
+        assert (tmp_path / "cores1" / name).read_bytes() == (tmp_path / "cores2" / name).read_bytes(), name
+
+    parent, stepped = os.getpid(), dynamics._stepped_chunk
+
+    def failing_in_child(*args):
+        if os.getpid() != parent:
+            raise ZeroNorm("trajectory norm fails in a worker")
+        return stepped(*args)
+
+    monkeypatch.setattr(dynamics, "_stepped_chunk", failing_in_child)
+    out = tmp_path / "failed"  # still at two patched cores
+    assert main(["--config", cfg_path, "--out", str(out)]) == 3
+    assert "trajectory norm fails in a worker" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "started"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_no_decided_trajectory_exits_3(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Trajectory solvers: exactness, conventions, convergence order, probes."""
 
 import math
+import os
+import signal
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -26,12 +30,12 @@ from collapsim import (
 )
 from collapsim import dynamics
 from collapsim.dynamics import CHUNK, bump_realization, ensemble_noise
-from collapsim.errors import ConfigError, NonCommuting
+from collapsim.errors import ConfigError, NonCommuting, ZeroNorm
 from collapsim.hilbert import pure_density
 from collapsim.kernels import kernel_cumulative, kernel_double_integral
 from collapsim.noise import NoiseBatch, left_cumulative, trapezoid_cumulative
 
-from conftest import stderr_of_mean
+from conftest import forks_at, stderr_of_mean
 
 
 def zero_realization(grid, m=1, kind="nodes"):
@@ -479,6 +483,58 @@ def test_rows_do_not_depend_on_chunk_width(n):
     one = evolve_csl_white(h0, aset, psi0, grid, kernel.gamma, rz, checkpoints=cp)
     assert np.array_equal(one.amps, full.amps[n - 1 : n])
     assert np.array_equal(one.log_weights, full.log_weights[n - 1 : n])
+
+
+def _pool_problem():
+    d = 4
+    aset = CommutingSet([np.linspace(-1.0, 1.0, d), np.arange(d) % 2])
+    h0 = np.diag(np.full(d - 1, 0.3), 1) + np.diag(np.full(d - 1, 0.3), -1)
+    return aset, np.full(d, 0.5, dtype=complex), TimeGrid(0.0, 0.5, 40), h0, np.array([0, 13, 40])
+
+
+@pytest.mark.parametrize("method", ["trotter_white", "raw_linear"])
+def test_white_ensemble_pool_bytes_do_not_depend_on_the_core_count(monkeypatch, method):
+    # a white ensemble of several chunks steps one chunk per task of a forked pool on the usable cores
+    aset, psi0, grid, h0, cp = _pool_problem()
+    n = 3 * CHUNK + 5  # four chunks, the last of five rows
+    h0 = h0 if method == "trotter_white" else None
+    arrays = {}
+    for cores in (1, 2, 3):
+        forks = forks_at(monkeypatch, cores)
+        threads = threading.active_count()
+        res = simulate_ensemble(aset, psi0, grid, white_kernel(0.6), n, 21, h0=h0, method=method, checkpoints=cp)
+        assert len(forks) == (0 if cores == 1 else min(cores, 4))
+        assert threading.active_count() == threads  # the pool's threads were joined
+        arrays[cores] = [a.tobytes() for a in (res.amps, res.log_weights, res.x)]
+    assert arrays[1] == arrays[2] == arrays[3]
+    # a colored ensemble of the same size stays serial, and so does a white one of a single chunk
+    forks = forks_at(monkeypatch, 3)
+    simulate_ensemble(aset, psi0, grid, exponential_kernel(0.6, 0.2), n, 21, checkpoints=cp)
+    simulate_ensemble(aset, psi0, grid, white_kernel(0.6), CHUNK, 21, h0=h0, method=method, checkpoints=cp)
+    assert forks == []
+
+
+@pytest.mark.parametrize("failure", ["raise", "kill"])
+def test_failing_ensemble_worker_fails_the_ensemble(monkeypatch, failure):
+    aset, psi0, grid, h0, cp = _pool_problem()
+    forks = forks_at(monkeypatch, 2)
+    parent, stepped = os.getpid(), dynamics._stepped_chunk
+
+    def failing_in_child(*args):
+        if os.getpid() != parent:
+            if failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ZeroNorm("trajectory norm fails in a worker")
+        return stepped(*args)
+
+    monkeypatch.setattr(dynamics, "_stepped_chunk", failing_in_child)
+    expected = pytest.raises(ZeroNorm, match="^trajectory norm fails in a worker$") if failure == "raise" \
+        else pytest.raises(BrokenProcessPool)
+    with expected:
+        simulate_ensemble(aset, psi0, grid, white_kernel(0.6), 2 * CHUNK, 21, h0=h0, checkpoints=cp)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 BAD_SCHEDULES = {

@@ -25,7 +25,7 @@ from collapsim import (
 )
 from collapsim.errors import ConfigError, DegenerateEnsemble, StepSizeRejected
 from collapsim.hilbert import pure_density
-from collapsim.master import _rk4_density, fit_exponential_rate
+from collapsim.master import BATCHES, _rk4_density, _scaled_value, fit_exponential_rate
 
 
 @pytest.fixture
@@ -236,6 +236,23 @@ def test_ensemble_matches_exact_sum_reference_unequal_batches(three_state, psi_t
     off = ~np.eye(3, dtype=bool)
     np.testing.assert_allclose(est.stderr_im[:, off], se_im[:, off], rtol=1e-12, atol=0)
     assert np.all(est.stderr_im[:, ~off] <= 1e-15)
+
+
+def test_reused_batch_buffers_give_the_bits_of_fresh_temporaries(three_state, psi_three):
+    # each batch's two products go into buffers made once per call; at batch sizes 10 and 11
+    # the estimate has the bits of one fresh temporary per product and batch
+    n = 1037
+    res = simulate_ensemble(three_state, psi_three, TimeGrid(0.0, 0.6, 60), white_kernel(0.7), n, 17,
+                            h0=_H0_MIXING, checkpoints=np.array([20, 60]))
+    edges = np.linspace(0, n, BATCHES + 1).astype(int)
+    peak = np.max(res.log_weights, axis=0)
+    bsums = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        s = np.exp(res.log_weights[lo:hi] - peak)
+        psi = res.amps[lo:hi].transpose(1, 0, 2)
+        bsums.append(np.matmul((psi * s.T[..., None]).transpose(0, 2, 1), psi.conj()))
+    want = _scaled_value(np.array(bsums).sum(axis=0) / n, peak[:, None, None])
+    assert ensemble_to_density(res, "raw").rhos.tobytes() == want.tobytes()
 
 
 def test_cooked_zero_weight_batch_is_degenerate(two_state, psi_born):
