@@ -8,10 +8,10 @@ a fixed documented header.  Task runners return their artifacts and ``run``
 alone writes them: only the streamed paths.csv and macro_rate.csv are computed
 as they are written, so a numerical failure anywhere else leaves only the
 started manifest.  Identical config + seed gives byte-identical CSVs.
-``ensemble.workers`` and ``--workers`` are validated and change nothing: a white
-ensemble's chunks are stepped, and a large in-memory CSV is formatted
-(``_write_csv``), in a pool of forked processes on every usable core whatever
-they say, with the same bytes; a colored ensemble runs in this process.
+``ensemble.workers`` and ``--workers`` are validated and change nothing: a long
+white ensemble's chunks are stepped (``simulate_ensemble``), and a large in-memory
+CSV is formatted (``_write_csv``), in forked processes on every usable core
+whatever they say, with the same bytes; any other ensemble runs in this process.
 
 Exit status: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (imported with cli: a run's first pool pays no import)
 from functools import partial
 
 import numpy as np
@@ -218,9 +217,9 @@ def _write_csv(path, header, blocks):
     """Write ``header``, then the rows of each block of equal-length columns (ndarrays or lists),
     ``_ROW_BLOCK`` rows at a time, so memory does not grow with the row count.  Several blocks let
     a file stream.  An artifact that is one block of at least 2 * ``_ROW_BLOCK`` rows has its row
-    blocks formatted in a pool of up to one forked process per usable core and written here in
-    order, so this process holds only the blocks that arrived before it wrote them.  The bytes are
-    csv.writer's for rows of two or more cells, whatever the process count."""
+    blocks formatted in up to one forked process per usable core, each a contiguous share of them
+    (``dynamics._forked_map``), and written here in order, so this process holds one share's text
+    at a time.  The bytes are csv.writer's for rows of two or more cells, whatever the process count."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_cells(header)) + "\n")
         if isinstance(blocks, list) and len(blocks) == 1 and len(blocks[0][0]) >= 2 * _ROW_BLOCK:
@@ -404,7 +403,7 @@ def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
         "status": "started",
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
         "master_seed": ens["master_seed"],
-        "workers": 1,  # ensemble.workers changes nothing; the forked pools on the usable cores change no byte
+        "workers": 1,  # ensemble.workers changes nothing; the forked processes on the usable cores change no byte
         "versions": {"collapsim": __version__, "numpy": np.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "artifacts": [],

@@ -30,8 +30,9 @@ batch of one and return a one-row result from the same solver chunk.
 ``ensemble_noise`` alone turns a kernel into an ensemble's noise (white
 increments, or colored paths from one Cholesky factor) in chunks by trajectory
 index; the ensemble, the CLI's paths dump and ``fncheck`` all iterate it.  A
-white ensemble's chunks are drawn and stepped in forked processes on the usable
-cores (``_forked_map``), into one shared mapping; a colored one's run in turn.
+long stepped white ensemble's chunks are drawn and stepped in forked processes
+on the usable cores (``_forked_map``), into one shared mapping; any other
+ensemble's run in turn.
 
 The general non-commuting colored equation has no closed functional
 derivative and is deliberately not time-stepped.
@@ -46,6 +47,9 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,7 +79,8 @@ __all__ = [
     "simulate_ensemble",
 ]
 
-CHUNK = 512  # trajectories per chunk: one pool task each for white noise on several cores, else one after another
+CHUNK = 1024  # trajectories per chunk, run one after another, or in contiguous shares in forked processes
+FORK_WORK = 1 << 20  # trajectory-steps from which a stepped white ensemble is forked (see simulate_ensemble)
 METHODS = ("trotter_white", "exact_commuting", "raw_linear")
 
 
@@ -389,41 +394,76 @@ def functional_derivative_probe(
 
 
 # ---------------------------------------------------------------------------
-# a pool of forked processes (the ensemble's white chunks and ``cli``'s CSV row blocks)
+# ensembles
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on, or 1 where it cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
+def _shared(shape, dtype=float) -> np.ndarray:
+    """An uninitialized array on an anonymous shared mapping, which processes forked after it share."""
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize), dtype).reshape(shape)
 
 
 def _forked_map(task, args):
-    """``task(arg)`` for each of ``args``, in order, from a pool of one forked process per usable core (at most
-    one per arg), or in this process if that is one.  Forked, each worker inherits ``task`` and what it reads, so
-    only args and results are pickled; every worker is joined before this ends, and a worker's error is raised
-    here (a killed worker's as ``BrokenProcessPool``)."""
-    workers = min(_usable_cores(), len(args))
-    if workers < 2:
+    """``task(arg)`` for each of ``args``, in order, from one forked process per usable core (at most one per
+    arg), each running a contiguous share of ``args``; in this process if that is one, or in a daemonic
+    ``multiprocessing`` worker, whose caller already runs one per core.  A child pickles its share's results, or
+    the exception it raised, into a pipe and leaves through ``os._exit``; that exception is raised here, and a
+    child that ends without a report as ``BrokenProcessPool``.  Every child is reaped before this ends."""
+    args = list(args)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # 1 where it cannot fork
+    count = min(cores, len(args))
+    mp = sys.modules.get("multiprocessing")  # imported in any multiprocessing worker
+    if count < 2 or (mp is not None and mp.current_process().daemon):
         yield from map(task, args)
         return
-    import multiprocessing  # here, not at the top: they would add about 26 ms to ``import collapsim``
-    from concurrent.futures import ProcessPoolExecutor
+    children = []  # (pid, read end of its pipe), in share order; pid 0 until forked
+    try:
+        for s in range(count):
+            read_end, write_end = os.pipe()
+            children.append((0, read_end))
+            try:
+                if (pid := os.fork()) == 0:
+                    _run_share(task, args[len(args) * s // count : len(args) * (s + 1) // count], write_end,
+                               [fd for _, fd in children])
+            finally:
+                os.close(write_end)
+            children[-1] = (pid, read_end)
+        while children:
+            pid, read_end = children.pop(0)
+            try:
+                with open(read_end, "rb") as pipe:
+                    done, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _task.append, (task,)) as pool:
-        yield from pool.map(_run_task, args)
+                raise BrokenProcessPool("a forked process ended without a report") from None
+            finally:
+                os.waitpid(pid, 0)
+            if not done:
+                raise value
+            yield from value
+            del value  # this share's results, before the next share's arrive
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
-_task = []  # in a worker of _forked_map, the function it applies (the pool's initializer appends it)
-
-
-def _run_task(arg):
-    return _task[0](arg)
-
-
-# ---------------------------------------------------------------------------
-# ensembles
+def _run_share(task, share, write_end, read_ends) -> None:
+    """A child's whole life in ``_forked_map``: close the parent's read ends, run ``share``, pickle
+    ``(True, results)`` or ``(False, exception)`` into ``write_end``, then ``os._exit``."""
+    try:
+        for fd in read_ends:
+            os.close(fd)
+        try:
+            report = True, [task(arg) for arg in share]
+        except Exception as exc:  # raised again in the parent
+            report = False, exc
+        with open(write_end, "wb") as pipe:
+            pickle.dump(report, pipe)
+    finally:
+        os._exit(0)
 
 
 def ensemble_noise(grid, kernel, num_processes, n, master_seed, rows, start_index=0, nodes=None):
@@ -461,9 +501,11 @@ def simulate_ensemble(
     method: "trotter_white" (white kernel, any H0), "exact_commuting" (any
     kernel, commuting or absent H0), or "raw_linear" (uncompensated).
     "auto" picks trotter_white for white kernels and exact_commuting
-    otherwise.  Chunks of ``CHUNK`` trajectories run one after another, or
-    for a white kernel one per task of a forked pool on the usable cores,
-    with the same bits; ``workers`` is accepted and changes nothing.
+    otherwise.  Chunks of ``CHUNK`` trajectories (``CHUNK // 2`` from d = 8)
+    run one after another, or, for a stepped white ensemble of at least
+    ``FORK_WORK`` trajectory-steps, in one contiguous share per usable core of
+    forked processes, with the same bits; ``workers`` is accepted and changes
+    nothing.
     """
     if n < 1:
         raise ConfigError(f"ensemble needs n >= 1 trajectories, got {n}")
@@ -471,28 +513,29 @@ def simulate_ensemble(
         method, aset, psi0, grid, h0, checkpoints, kernel.gamma, kernel
     )
     m, ncp, d = aset.num_ops, len(cp_idx), aset.dim
-    white = kernel.family is KernelFamily.WHITE
-    if white:  # amps, log weights and x on one anonymous shared mapping, made before any fork
-        flat = np.frombuffer(mmap.mmap(-1, 8 * n * ncp * (2 * d + 1 + m)))
-        amps = flat[: 2 * n * ncp * d].view(np.complex128).reshape(n, ncp, d)
-        logw = flat[2 * n * ncp * d : n * ncp * (2 * d + 1)].reshape(n, ncp)
-        x_out = flat[n * ncp * (2 * d + 1) :].reshape(n, m, ncp)
-    else:
-        amps, logw, x_out = np.empty((n, ncp, d), np.complex128), np.empty((n, ncp)), np.empty((n, m, ncp))
     # the closed form reads a colored x only at the checkpoints
     nodes = cp_idx if method == "exact_commuting" else None
-    batches = ensemble_noise(grid, kernel, m, n, master_seed, CHUNK, start_index, nodes)
+    # chunks as wide as CHUNK while OpenBLAS keeps the unitary product on one thread (4 d^2 width < 2^18), so
+    # wider d steps half-width chunks; a stepped white ensemble is forked where that was measured to pay
+    # (BENCH_25.json): at least FORK_WORK trajectory-steps, and a product on one thread, since a product threaded
+    # in every forked process oversubscribes the cores
+    width = CHUNK if 4 * d * d * CHUNK < 1 << 18 else CHUNK // 2
+    forked = (kernel.family is KernelFamily.WHITE and nodes is None and n > width
+              and n * cp_idx[-1] >= FORK_WORK and 4 * d * d * width < 1 << 18)
+    alloc = _shared if forked else np.empty  # a forked process writes its rows into anonymous shared mappings
+    amps, logw, x_out = alloc((n, ncp, d), np.complex128), alloc((n, ncp)), alloc((n, m, ncp))
+    batches = ensemble_noise(grid, kernel, m, n, master_seed, width, start_index, nodes)
 
-    def run_chunk(lo):  # trajectories lo .. lo + CHUNK - 1, drawn, stepped and written into their rows
-        # a white chunk is drawn where it is stepped; colored chunks share one factor, so they run here in turn
-        nc = min(CHUNK, start_index + n - lo)
-        batch = next(ensemble_noise(grid, kernel, m, nc, master_seed, CHUNK, lo, nodes) if white else batches)
+    def run_chunk(lo):  # trajectories lo .. lo + width - 1, drawn, stepped and written into their rows
+        # a forked chunk is drawn where it is stepped; colored chunks share one factor, so they run here in turn
+        nc = min(width, start_index + n - lo)
+        batch = next(ensemble_noise(grid, kernel, m, nc, master_seed, width, lo) if forked else batches)
         rows = slice(lo - start_index, lo - start_index + nc)
         x_cp = batch.x if batch.kind == "projected" else batch.x[:, :, cp_idx]
         amps[rows], logw[rows] = chunk(batch.kind, batch.w, x_cp)
         x_out[rows] = x_cp
 
-    for _ in (_forked_map if white else map)(run_chunk, range(start_index, start_index + n, CHUNK)):
+    for _ in (_forked_map if forked else map)(run_chunk, range(start_index, start_index + n, width)):
         pass  # a worker's rows reach this process through the mapping; only None comes back
 
     return EnsembleResult(grid, grid.nodes()[cp_idx], amps, logw, x_out, method, start_index)

@@ -851,13 +851,14 @@ def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, failure):
 
 
 def test_white_ensemble_pool_through_the_cli(tmp_path, monkeypatch, capsys):
-    # a white ensemble of two chunks is stepped in forked workers; criterion 11 covers colored ensembles only
-    cfg = traj_config(n=2 * dynamics.CHUNK, extra={"kernel": {"family": "white", "gamma": 1.0}})
+    # a long white ensemble is stepped in forked processes; criterion 11 covers colored ensembles only
+    monkeypatch.setattr(dynamics, "FORK_WORK", 1)  # this two-chunk one too
+    cfg = traj_config(n=dynamics.CHUNK + 5, extra={"kernel": {"family": "white", "gamma": 1.0}})
     cfg_path = write_config(tmp_path, cfg)
     for cores in (1, 2):
         forks = forks_at(monkeypatch, cores)
         assert main(["--config", cfg_path, "--out", str(tmp_path / f"cores{cores}")]) == 0
-        assert len(forks) == (0 if cores == 1 else 2)  # trajectories.csv (2 x 512 x 4 rows) is written serially
+        assert len(forks) == (0 if cores == 1 else 2)  # trajectories.csv (1,029 x 4 rows) is written serially
     for name in ("trajectories.csv", "statistics.csv"):
         assert (tmp_path / "cores1" / name).read_bytes() == (tmp_path / "cores2" / name).read_bytes(), name
 

@@ -3,6 +3,7 @@
 import math
 import os
 import signal
+import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -388,7 +389,7 @@ def test_ensemble_worker_invariance(two_state, psi_born):
 def test_prefix_shard_and_batch_of_one_invariance(family):
     # trajectory k depends only on (master_seed, k): a prefix, a shard and a
     # single trajectory all reproduce the matching rows across the CHUNK edge
-    d, n, seed = 6, 1100, 21
+    d, n, seed = 6, 2100, 21
     assert n > 2 * CHUNK
     aset = CommutingSet([np.linspace(-1.0, 1.0, d), np.arange(d) % 2])
     psi0 = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
@@ -404,7 +405,7 @@ def test_prefix_shard_and_batch_of_one_invariance(family):
         aset, psi0, grid, kernel, count, seed, h0=h0, checkpoints=cp, start_index=start
     )
     full = run(n)
-    for part, rows in ((run(600), slice(0, 600)), (run(500, 600), slice(600, n))):
+    for part, rows in ((run(1200), slice(0, 1200)), (run(900, 1200), slice(1200, n))):
         assert np.array_equal(part.amps, full.amps[rows])
         assert np.array_equal(part.log_weights, full.log_weights[rows])
         assert np.array_equal(part.x, full.x[rows])
@@ -465,7 +466,7 @@ def test_ensemble_noise_projects_the_factor_once(monkeypatch):
 def test_rows_do_not_depend_on_chunk_width(n):
     # a white Trotter row is bit-identical whatever the width of its chunk:
     # a prefix of any length, a shard, and a single trajectory all match the
-    # rows of a 1024-trajectory run (two full chunks)
+    # rows of a 1024-trajectory run (one full chunk)
     d, seed = 6, 21
     aset = CommutingSet([np.linspace(-1.0, 1.0, d), np.arange(d) % 2])
     psi0 = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
@@ -485,16 +486,16 @@ def test_rows_do_not_depend_on_chunk_width(n):
     assert np.array_equal(one.log_weights, full.log_weights[n - 1 : n])
 
 
-def _pool_problem():
-    d = 4
+def _pool_problem(d=4):
     aset = CommutingSet([np.linspace(-1.0, 1.0, d), np.arange(d) % 2])
     h0 = np.diag(np.full(d - 1, 0.3), 1) + np.diag(np.full(d - 1, 0.3), -1)
-    return aset, np.full(d, 0.5, dtype=complex), TimeGrid(0.0, 0.5, 40), h0, np.array([0, 13, 40])
+    return aset, np.full(d, 1.0 / math.sqrt(d), dtype=complex), TimeGrid(0.0, 0.5, 40), h0, np.array([0, 13, 40])
 
 
 @pytest.mark.parametrize("method", ["trotter_white", "raw_linear"])
 def test_white_ensemble_pool_bytes_do_not_depend_on_the_core_count(monkeypatch, method):
-    # a white ensemble of several chunks steps one chunk per task of a forked pool on the usable cores
+    # a long stepped white ensemble runs one contiguous share of its chunks per usable core, each in a forked process
+    monkeypatch.setattr(dynamics, "FORK_WORK", 1)  # this short one too
     aset, psi0, grid, h0, cp = _pool_problem()
     n = 3 * CHUNK + 5  # four chunks, the last of five rows
     h0 = h0 if method == "trotter_white" else None
@@ -503,19 +504,54 @@ def test_white_ensemble_pool_bytes_do_not_depend_on_the_core_count(monkeypatch, 
         forks = forks_at(monkeypatch, cores)
         threads = threading.active_count()
         res = simulate_ensemble(aset, psi0, grid, white_kernel(0.6), n, 21, h0=h0, method=method, checkpoints=cp)
-        assert len(forks) == (0 if cores == 1 else min(cores, 4))
-        assert threading.active_count() == threads  # the pool's threads were joined
+        assert len(forks) == (0 if cores == 1 else cores)
+        assert threading.active_count() == threads
         arrays[cores] = [a.tobytes() for a in (res.amps, res.log_weights, res.x)]
     assert arrays[1] == arrays[2] == arrays[3]
-    # a colored ensemble of the same size stays serial, and so does a white one of a single chunk
+
+
+def test_other_ensembles_fork_nothing(monkeypatch):
+    aset, psi0, grid, h0, cp = _pool_problem()
+    n = 3 * CHUNK + 5
     forks = forks_at(monkeypatch, 3)
-    simulate_ensemble(aset, psi0, grid, exponential_kernel(0.6, 0.2), n, 21, checkpoints=cp)
-    simulate_ensemble(aset, psi0, grid, white_kernel(0.6), CHUNK, 21, h0=h0, method=method, checkpoints=cp)
+    assert n * cp[-1] < dynamics.FORK_WORK  # too short to pay for the forks
+    simulate_ensemble(aset, psi0, grid, white_kernel(0.6), n, 21, h0=h0, checkpoints=cp)
+    monkeypatch.setattr(dynamics, "FORK_WORK", 1)
+    for method in ("exact_commuting", "raw_linear"):  # colored: each process would need the Cholesky factor
+        simulate_ensemble(aset, psi0, grid, exponential_kernel(0.6, 0.2), n, 21, method=method, checkpoints=cp)
+    simulate_ensemble(aset, psi0, grid, white_kernel(0.6), n, 21, method="exact_commuting", checkpoints=cp)
+    simulate_ensemble(aset, psi0, grid, white_kernel(0.6), CHUNK, 21, h0=h0, checkpoints=cp)  # one chunk
+    wide, psi_wide, _, h0_wide, _ = _pool_problem(12)  # OpenBLAS threads its unitary product even at CHUNK // 2
+    simulate_ensemble(wide, psi_wide, grid, white_kernel(0.6), n, 21, h0=h0_wide, checkpoints=cp)
     assert forks == []
+
+
+_worker_forks = []  # in a daemonic worker of the test below, the forks it records
+
+
+def _white_ensemble_bytes(n):
+    before = len(_worker_forks)
+    aset, psi0, grid, h0, cp = _pool_problem()
+    res = simulate_ensemble(aset, psi0, grid, white_kernel(0.6), n, 21, h0=h0, checkpoints=cp)
+    return len(_worker_forks) - before, [a.tobytes() for a in (res.amps, res.log_weights, res.x)]
+
+
+def test_ensemble_in_a_daemonic_worker_runs_serially(monkeypatch):
+    # a caller that runs one multiprocessing worker per task gets no forks per call from the ensemble
+    import multiprocessing
+
+    monkeypatch.setattr(dynamics, "FORK_WORK", 1)
+    monkeypatch.setattr(sys.modules[__name__], "_worker_forks", forks_at(monkeypatch, 2))
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        forked, got = pool.apply(_white_ensemble_bytes, (2 * CHUNK,))
+    assert forked == 0
+    monkeypatch.setattr(sys.modules[__name__], "_worker_forks", forks_at(monkeypatch, 1))
+    assert got == _white_ensemble_bytes(2 * CHUNK)[1]
 
 
 @pytest.mark.parametrize("failure", ["raise", "kill"])
 def test_failing_ensemble_worker_fails_the_ensemble(monkeypatch, failure):
+    monkeypatch.setattr(dynamics, "FORK_WORK", 1)
     aset, psi0, grid, h0, cp = _pool_problem()
     forks = forks_at(monkeypatch, 2)
     parent, stepped = os.getpid(), dynamics._stepped_chunk

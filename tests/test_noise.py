@@ -146,7 +146,7 @@ def test_sampling_reproducibility_bitwise():
             want = z @ factor.cholesky.T if batch.kind == "nodes" else z * math.sqrt(gamma / grid.dt)
             assert np.array_equal(batch.w[r], want)
 
-    # n = 1100 crosses both the 512-row ensemble CHUNK and fncheck's 1024-row chunk
+    # n = 1100 crosses the 1024-row chunk of the ensemble (CHUNK) and of fncheck
     for kind in ("nodes", "increments", "projected"):
         for n in (3, 1100):
             a, b = draw(kind, n), draw(kind, n)
