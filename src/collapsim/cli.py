@@ -9,9 +9,9 @@ alone writes them: only the streamed paths.csv and macro_rate.csv are computed
 as they are written, so a numerical failure anywhere else leaves only the
 started manifest.  Identical config + seed gives byte-identical CSVs.
 ``ensemble.workers`` and ``--workers`` are validated and change nothing: a long
-white ensemble's chunks are stepped (``simulate_ensemble``), and a large in-memory
-CSV is formatted (``_write_csv``), in forked processes on every usable core
-whatever they say, with the same bytes; any other ensemble runs in this process.
+``trajectories`` ensemble is drawn, solved, classified and formatted in one pass
+of forked processes on every usable core whatever they say, with the same bytes,
+and its text is written only after its statistics pass; a short one runs here.
 
 Exit status: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -36,9 +35,9 @@ from .macrobody import (DEFAULT_ALPHA, DEFAULT_LAMBDA, MacroBody, MacroParams, c
                         require_after_t0, require_beta)
 from .master import evolve_colored_master, evolve_lindblad_csl, require_finite_gaps, require_stable_step
 from .noise import TimeGrid, checkpoint_indices, require_t1_after_t0
-from .dynamics import _forked_map, ensemble_noise, simulate_ensemble
+from .dynamics import EnsembleResult, _solved_chunks, ensemble_noise
 from .fncheck import FN_FUNCTIONALS, fn_validate, require_samples
-from .reduction import born_frequencies, require_min_decided, require_threshold
+from .reduction import born_frequencies, classify_outcomes, require_min_decided, require_threshold
 
 TASKS = ("trajectories", "master", "fn-check", "macro-rate", "kernel-diag")
 
@@ -46,6 +45,7 @@ _REQUIRED = object()  # schema default of a key that must be given
 _BLOCK = ("object", {}, None)
 _DUMP_BLOCK = 64  # trajectories per block of paths.csv, so a large dump streams
 _ROW_BLOCK = 4096  # CSV rows formatted and written at a time
+_ROW_STEPS = 80  # a trajectories.csv row costs about as much as 80 trajectory-steps of the draw (BENCH_27.json)
 _QUOTED_CHARS = frozenset(',"\n')  # csv.writer quotes a cell holding one of these
 
 # block -> key -> (JSON type, default or _REQUIRED, interval or None).
@@ -207,28 +207,22 @@ def _texts(values) -> np.ndarray:
     return np.array(_cells(values), dtype=object)
 
 
-def _block_text(columns, lo) -> str:
-    """Rows lo .. lo + _ROW_BLOCK - 1 of ``columns`` as CSV text; it depends on those rows alone."""
-    cells = [_cells(col[lo : lo + _ROW_BLOCK]) for col in columns]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+def _text_blocks(columns):
+    """The rows of equal-length ``columns`` (ndarrays or lists) as CSV text, ``_ROW_BLOCK`` rows at a time,
+    so memory does not grow with the row count; each block's text depends on its rows alone."""
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        cells = [_cells(col[lo : lo + _ROW_BLOCK]) for col in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _write_csv(path, header, blocks):
-    """Write ``header``, then the rows of each block of equal-length columns (ndarrays or lists),
-    ``_ROW_BLOCK`` rows at a time, so memory does not grow with the row count.  Several blocks let
-    a file stream.  An artifact that is one block of at least 2 * ``_ROW_BLOCK`` rows has its row
-    blocks formatted in up to one forked process per usable core, each a contiguous share of them
-    (``dynamics._forked_map``), and written here in order, so this process holds one share's text
-    at a time.  The bytes are csv.writer's for rows of two or more cells, whatever the process count."""
+    """Write ``header``, then each block: CSV text already formatted, or equal-length columns formatted
+    by ``_text_blocks``.  Several blocks let a file stream.  The bytes are csv.writer's for rows of two
+    or more cells."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_cells(header)) + "\n")
-        if isinstance(blocks, list) and len(blocks) == 1 and len(blocks[0][0]) >= 2 * _ROW_BLOCK:
-            fh.flush()  # before the fork, so no formatter process inherits unwritten text
-            fh.writelines(_forked_map(partial(_block_text, blocks[0]), range(0, len(blocks[0][0]), _ROW_BLOCK)))
-            return
-        for columns in blocks:
-            for lo in range(0, len(columns[0]), _ROW_BLOCK):
-                fh.write(_block_text(columns, lo))
+        for block in blocks:
+            fh.writelines([block] if isinstance(block, str) else _text_blocks(block))
 
 
 def _write_manifest(out_dir, payload):
@@ -254,7 +248,7 @@ def _run_kernel_diag(kernel, grid):
     return [("kernel_diag.csv", ["t", "lag", "D", "G", "f"], [columns])]
 
 
-def _dump_paths(grid, kernel, m, n, seed):
+def _dump_paths(grid, kernel, m, n, seed, factor):
     print(f"collapsim: dumping {n} noise paths ({grid.num_nodes} nodes each); this can be a large file",
           file=sys.stderr)
     header = ["trajectory", "k", "t_k", *(f"w_{i + 1}" for i in range(m)), *(f"x_{i + 1}" for i in range(m))]
@@ -267,35 +261,42 @@ def _dump_paths(grid, kernel, m, n, seed):
         ks = np.tile(np.arange(count), len(batch))
         return [np.repeat(np.arange(batch.index, batch.index + len(batch)), count), ks, t_text[ks], *w, *x]
 
-    return "paths.csv", header, map(block, ensemble_noise(grid, kernel, m, n, seed, _DUMP_BLOCK))
+    return "paths.csv", header, ensemble_noise(grid, kernel, m, n, seed, _DUMP_BLOCK, task=block, _factor=factor)
 
 
 def _run_trajectories(system, grid, kernel, ens, red):
     aset, psi0, h0 = system
-    n, seed = ens["trajectories"], ens["master_seed"]
-    result = simulate_ensemble(
-        aset, psi0, grid, kernel, n, seed, h0=h0, method="auto",
-        checkpoints=checkpoint_indices(grid, ens["checkpoints"]),
-    )
-    report = born_frequencies(result, aset, psi0, red["threshold"], min_decided=red["min_decided"])
-    labels = np.array([*report.labels, "undecided"], dtype=object)
-    header = ["trajectory", "t", "log_weight", *(f"p_{a + 1}" for a in range(result.dim)), "dominant_outcome"]
-    probs = (np.abs(result.amps) ** 2).reshape(-1, result.dim).T
-    columns = [
-        np.repeat(_texts(np.arange(result.n)), len(result.times)),
-        np.tile(_texts(result.times), result.n),
-        result.log_weights.ravel(),
-        *probs,
-        labels[report.outcomes.ravel()],  # UNDECIDED (-1) picks the last label
-    ]
+    n, seed, d = ens["trajectories"], ens["master_seed"], aset.dim
+    cp = checkpoint_indices(grid, ens["checkpoints"])
+    t_text = _texts(grid.nodes()[cp])
+    labels = np.array([*(g.label for g in aset.outcome_groups()), "undecided"], dtype=object)
+
+    def rows_text(rows):  # a chunk's rows of trajectories.csv as text, and their last checkpoint
+        columns = [
+            np.repeat(_texts(np.arange(rows.index, rows.index + rows.n)), len(cp)),
+            np.tile(t_text, rows.n),
+            rows.log_weights.ravel(),
+            *(np.abs(rows.amps) ** 2).reshape(-1, d).T,
+            labels[classify_outcomes(rows, aset, red["threshold"]).ravel()],  # UNDECIDED (-1) picks the last label
+        ]
+        return "".join(_text_blocks(columns)), rows.log_weights[:, -1], rows.amps[:, -1]
+
+    # each chunk is solved, classified and formatted where it is drawn, in forked processes for a long ensemble
+    method, times, factor, chunks = _solved_chunks(rows_text, aset, psi0, grid, kernel, n, seed, h0, "auto", cp,
+                                                   task_steps=len(cp) * _ROW_STEPS)
+    texts, logw, amps = zip(*chunks)
+    last = EnsembleResult(grid, times[-1:], np.concatenate(amps)[:, None], np.concatenate(logw)[:, None], None,
+                          method, 0)  # the statistics read the last checkpoint's weights and amplitudes, not x
+    report = born_frequencies(last, aset, psi0, red["threshold"], min_decided=red["min_decided"])
+    header = ["trajectory", "t", "log_weight", *(f"p_{a + 1}" for a in range(d)), "dominant_outcome"]
     stat_columns = [
         report.labels, report.born, report.frequency, report.stderr,
         np.full(len(report.labels), report.n_eff), np.full(len(report.labels), report.undecided_fraction),
     ]
     stat_header = ["outcome", "born_weight", "cooked_frequency", "stderr", "n_eff", "undecided_fraction"]
-    artifacts = [("trajectories.csv", header, [columns]), ("statistics.csv", stat_header, [stat_columns])]
+    artifacts = [("trajectories.csv", header, texts), ("statistics.csv", stat_header, [stat_columns])]
     if ens["dump_paths"]:
-        artifacts.append(_dump_paths(grid, kernel, aset.num_ops, n, seed))
+        artifacts.append(_dump_paths(grid, kernel, aset.num_ops, n, seed, factor))
     return artifacts
 
 

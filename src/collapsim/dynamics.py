@@ -28,11 +28,11 @@ the ``hilbert`` checks of psi0, H0 and commutation) is made once in
 trajectory: ``evolve_csl_white`` and ``evolve_colored_commuting`` take a
 batch of one and return a one-row result from the same solver chunk.
 ``ensemble_noise`` alone turns a kernel into an ensemble's noise (white
-increments, or colored paths from one Cholesky factor) in chunks by trajectory
-index; the ensemble, the CLI's paths dump and ``fncheck`` all iterate it.  A
-long stepped white ensemble's chunks are drawn and stepped in forked processes
-on the usable cores (``_forked_map``), into one shared mapping; any other
-ensemble's run in turn.
+increments, or colored paths from one Cholesky factor, built once) in chunks by
+trajectory index and runs a task on each; past ``FORK_WORK`` trajectory-steps it
+runs one contiguous share of them per usable core in forked processes
+(``_forked_map``).  The ensemble, the CLI's trajectories pass and paths dump, and
+``fncheck`` use it; the ensemble's rows land in one shared mapping.
 
 The general non-commuting colored equation has no closed functional
 derivative and is deliberately not time-stepped.
@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 CHUNK = 1024  # trajectories per chunk, run one after another, or in contiguous shares in forked processes
-FORK_WORK = 1 << 20  # trajectory-steps from which a stepped white ensemble is forked (see simulate_ensemble)
+FORK_WORK = 1 << 20  # trajectory-steps of work from which a pass over trajectories is forked (see ensemble_noise)
 METHODS = ("trotter_white", "exact_commuting", "raw_linear")
 
 
@@ -402,18 +402,21 @@ def _shared(shape, dtype=float) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize), dtype).reshape(shape)
 
 
-def _forked_map(task, args):
-    """``task(arg)`` for each of ``args``, in order, from one forked process per usable core (at most one per
-    arg), each running a contiguous share of ``args``; in this process if that is one, or in a daemonic
-    ``multiprocessing`` worker, whose caller already runs one per core.  A child pickles its share's results, or
-    the exception it raised, into a pipe and leaves through ``os._exit``; that exception is raised here, and a
-    child that ends without a report as ``BrokenProcessPool``.  Every child is reaped before this ends."""
-    args = list(args)
+_in_share = False  # True in a process that _forked_map forked, which forks no further
+
+
+def _forked_map(run, args):
+    """The results of ``run(share)`` for contiguous shares of the sequence ``args``, in order: one share per
+    usable core (at most one per item), each in a forked process; all of ``args`` as one share in this process
+    if that is one core, inside such a share, or in a daemonic ``multiprocessing`` worker, whose caller already
+    runs one process per core.  A child pickles its share's results, or the exception it raised, into a pipe
+    and leaves through ``os._exit``; that exception is raised here, and a child that ends without a report as
+    ``BrokenProcessPool``.  Every child is reaped before this ends."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # 1 where it cannot fork
     count = min(cores, len(args))
     mp = sys.modules.get("multiprocessing")  # imported in any multiprocessing worker
-    if count < 2 or (mp is not None and mp.current_process().daemon):
-        yield from map(task, args)
+    if count < 2 or _in_share or (mp is not None and mp.current_process().daemon):
+        yield from run(args)
         return
     children = []  # (pid, read end of its pipe), in share order; pid 0 until forked
     try:
@@ -422,7 +425,7 @@ def _forked_map(task, args):
             children.append((0, read_end))
             try:
                 if (pid := os.fork()) == 0:
-                    _run_share(task, args[len(args) * s // count : len(args) * (s + 1) // count], write_end,
+                    _run_share(run, args[len(args) * s // count : len(args) * (s + 1) // count], write_end,
                                [fd for _, fd in children])
             finally:
                 os.close(write_end)
@@ -450,14 +453,16 @@ def _forked_map(task, args):
                 os.waitpid(pid, 0)
 
 
-def _run_share(task, share, write_end, read_ends) -> None:
-    """A child's whole life in ``_forked_map``: close the parent's read ends, run ``share``, pickle
+def _run_share(run, share, write_end, read_ends) -> None:
+    """A child's whole life in ``_forked_map``: close the parent's read ends, ``run(share)``, pickle
     ``(True, results)`` or ``(False, exception)`` into ``write_end``, then ``os._exit``."""
+    global _in_share
+    _in_share = True
     try:
         for fd in read_ends:
             os.close(fd)
         try:
-            report = True, [task(arg) for arg in share]
+            report = True, list(run(share))
         except Exception as exc:  # raised again in the parent
             report = False, exc
         with open(write_end, "wb") as pipe:
@@ -466,21 +471,56 @@ def _run_share(task, share, write_end, read_ends) -> None:
         os._exit(0)
 
 
-def ensemble_noise(grid, kernel, num_processes, n, master_seed, rows, start_index=0, nodes=None):
-    """Trajectories start_index .. start_index + n - 1 as noise batches of at most ``rows`` rows, in index order.
+def ensemble_noise(grid, kernel, num_processes, n, master_seed, rows, start_index=0, nodes=None, task=None, work=0,
+                   _factor=None):
+    """``task(batch)`` (or the batch) for trajectories start_index .. start_index + n - 1 in noise batches of at
+    most ``rows`` rows, lazily and in index order; a batch holds the rows one sampler call would give.
 
-    A white kernel gives increments; any other kernel colored paths from one Cholesky factor, built here once,
-    or with ``nodes`` their "projected" values there, through one projection of it.  A batch holds the rows
-    one sampler call would give.
+    A white kernel gives increments; any other kernel colored paths from one Cholesky factor (``_factor`` if the
+    caller holds it), or with ``nodes`` their "projected" values there, through one projection of it, both built
+    here before any fork.  From ``FORK_WORK`` trajectory-steps of ``work`` (0 never forks), the trajectories are
+    cut into one contiguous share per usable core, each batched in a forked process (``_forked_map``).
     """
-    factor = None if kernel.family is KernelFamily.WHITE else build_covariance(grid, kernel)
+    factor = _factor or (None if kernel.family is KernelFamily.WHITE else build_covariance(grid, kernel))
     b = None if factor is None or nodes is None else _projection(factor, nodes)
-    for lo in range(start_index, start_index + n, rows):
-        size = min(rows, start_index + n - lo)
-        if factor is None:
-            yield sample_white_increments(grid, kernel.gamma, num_processes, size, master_seed, lo)
-        else:
-            yield sample_paths(factor, num_processes, size, master_seed, lo, nodes=nodes, _b=b)
+
+    def run(share):  # a contiguous range of trajectories, in batches of at most ``rows`` rows
+        for lo in range(share.start, share.stop, rows):
+            size = min(rows, share.stop - lo)
+            if factor is None:
+                batch = sample_white_increments(grid, kernel.gamma, num_processes, size, master_seed, lo)
+            else:
+                batch = sample_paths(factor, num_processes, size, master_seed, lo, nodes=nodes, _b=b)
+            yield batch if task is None else task(batch)
+
+    trajectories = range(start_index, start_index + n)
+    return _forked_map(run, trajectories) if n > 1 and work >= FORK_WORK else run(trajectories)
+
+
+def _solved_chunks(task, aset, psi0, grid, kernel, n, master_seed, h0, method, checkpoints, start_index=0,
+                   task_steps=0):
+    """(method, checkpoint times, Cholesky factor or None, results) of an ensemble whose solver is resolved once:
+    the results are ``task(rows)`` for each chunk's rows as an ``EnsembleResult``, from ``ensemble_noise``, and
+    ``task_steps`` is what ``task`` costs per trajectory, in trajectory-steps."""
+    method, cp_idx, chunk = _solver(method, aset, psi0, grid, h0, checkpoints, kernel.gamma, kernel)
+    times, d = grid.nodes()[cp_idx], aset.dim
+    nodes = cp_idx if method == "exact_commuting" else None  # the closed form reads a colored x only at the checkpoints
+    # chunks as wide as CHUNK while OpenBLAS keeps the unitary product on one thread (4 d^2 width < 2^18), so
+    # wider d steps half-width chunks; an ensemble is forked where that was measured to pay (BENCH_25.json,
+    # BENCH_27.json): at least FORK_WORK trajectory-steps, and a product on one thread, since a product threaded
+    # in every forked process oversubscribes the cores
+    width = CHUNK if 4 * d * d * CHUNK < 1 << 18 else CHUNK // 2
+    work = n * (int(cp_idx[-1]) + task_steps) if 4 * d * d * width < 1 << 18 else 0
+    factor = None if kernel.family is KernelFamily.WHITE else build_covariance(grid, kernel)
+
+    def solve(batch):
+        x_cp = batch.x if batch.kind == "projected" else batch.x[:, :, cp_idx]
+        amps, logw = chunk(batch.kind, batch.w, x_cp)
+        return task(EnsembleResult(grid, times, amps, logw, x_cp, method, batch.index))
+
+    results = ensemble_noise(grid, kernel, aset.num_ops, n, master_seed, width, start_index, nodes, task=solve,
+                             work=work, _factor=factor)
+    return method, times, factor, results
 
 
 def simulate_ensemble(
@@ -502,40 +542,22 @@ def simulate_ensemble(
     kernel, commuting or absent H0), or "raw_linear" (uncompensated).
     "auto" picks trotter_white for white kernels and exact_commuting
     otherwise.  Chunks of ``CHUNK`` trajectories (``CHUNK // 2`` from d = 8)
-    run one after another, or, for a stepped white ensemble of at least
-    ``FORK_WORK`` trajectory-steps, in one contiguous share per usable core of
-    forked processes, with the same bits; ``workers`` is accepted and changes
+    run one after another, or, for an ensemble of at least ``FORK_WORK``
+    trajectory-steps, in one contiguous share per usable core of forked
+    processes, with the same bits; ``workers`` is accepted and changes
     nothing.
     """
     if n < 1:
         raise ConfigError(f"ensemble needs n >= 1 trajectories, got {n}")
-    method, cp_idx, chunk = _solver(
-        method, aset, psi0, grid, h0, checkpoints, kernel.gamma, kernel
-    )
-    m, ncp, d = aset.num_ops, len(cp_idx), aset.dim
-    # the closed form reads a colored x only at the checkpoints
-    nodes = cp_idx if method == "exact_commuting" else None
-    # chunks as wide as CHUNK while OpenBLAS keeps the unitary product on one thread (4 d^2 width < 2^18), so
-    # wider d steps half-width chunks; a stepped white ensemble is forked where that was measured to pay
-    # (BENCH_25.json): at least FORK_WORK trajectory-steps, and a product on one thread, since a product threaded
-    # in every forked process oversubscribes the cores
-    width = CHUNK if 4 * d * d * CHUNK < 1 << 18 else CHUNK // 2
-    forked = (kernel.family is KernelFamily.WHITE and nodes is None and n > width
-              and n * cp_idx[-1] >= FORK_WORK and 4 * d * d * width < 1 << 18)
-    alloc = _shared if forked else np.empty  # a forked process writes its rows into anonymous shared mappings
-    amps, logw, x_out = alloc((n, ncp, d), np.complex128), alloc((n, ncp)), alloc((n, m, ncp))
-    batches = ensemble_noise(grid, kernel, m, n, master_seed, width, start_index, nodes)
 
-    def run_chunk(lo):  # trajectories lo .. lo + width - 1, drawn, stepped and written into their rows
-        # a forked chunk is drawn where it is stepped; colored chunks share one factor, so they run here in turn
-        nc = min(width, start_index + n - lo)
-        batch = next(ensemble_noise(grid, kernel, m, nc, master_seed, width, lo) if forked else batches)
-        rows = slice(lo - start_index, lo - start_index + nc)
-        x_cp = batch.x if batch.kind == "projected" else batch.x[:, :, cp_idx]
-        amps[rows], logw[rows] = chunk(batch.kind, batch.w, x_cp)
-        x_out[rows] = x_cp
+    def write(rows):  # a chunk's rows, written where they are solved: here, or in a forked process
+        at = slice(rows.index - start_index, rows.index - start_index + rows.n)
+        amps[at], logw[at], x_out[at] = rows.amps, rows.log_weights, rows.x
 
-    for _ in (_forked_map if forked else map)(run_chunk, range(start_index, start_index + n, width)):
-        pass  # a worker's rows reach this process through the mapping; only None comes back
-
-    return EnsembleResult(grid, grid.nodes()[cp_idx], amps, logw, x_out, method, start_index)
+    method, times, _, results = _solved_chunks(write, aset, psi0, grid, kernel, n, master_seed, h0, method,
+                                               checkpoints, start_index)
+    m, ncp, d = aset.num_ops, len(times), aset.dim
+    amps, logw, x_out = _shared((n, ncp, d), np.complex128), _shared((n, ncp)), _shared((n, m, ncp))
+    for _ in results:
+        pass  # a forked process's rows reach this one through the shared mappings; only None comes back
+    return EnsembleResult(grid, times, amps, logw, x_out, method, start_index)

@@ -26,6 +26,8 @@ per-trajectory difference).
 The endpoint values x(t) and w(t) are drawn by ``dynamics.ensemble_noise``
 once per (kernel, grid, n, seed) and kept, so checking the whole menu on one
 kernel object draws once; colored ones are z @ B.T at the last node only.
+A long draw runs its batches in forked processes, each returning only its
+rows' two endpoint values; the Cholesky factor is built once, before the fork.
 
 White noise keeps its discrete convention: w(t) at the final node is the
 average of the two adjacent step values (the grid is extended by one step to
@@ -48,7 +50,7 @@ from .kernels import (
     kernel_cumulative,
     kernel_double_integral,
 )
-from .dynamics import ensemble_noise
+from .dynamics import CHUNK, ensemble_noise
 from .noise import TimeGrid, fsum_ordered
 
 __all__ = ["FnReport", "fn_validate", "FN_FUNCTIONALS"]
@@ -61,8 +63,6 @@ _MENU = {
     "exp_x": (np.exp, np.exp, lambda gamma, g_val, f_val: gamma * g_val * math.exp(0.5 * gamma * f_val)),
 }
 FN_FUNCTIONALS = tuple(_MENU)
-
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,15 @@ def _endpoints(kernel: CorrelationKernel, grid: TimeGrid, n: int, master_seed: i
     node_t = grid.steps  # index of t on the (possibly extended) node grid
     # white noise takes one extra step, so the boundary value (w_{M-1} + w_M)/2 exists
     on = TimeGrid(grid.t0, grid.t1 + grid.dt, grid.steps + 1) if white else grid
-    x_t, w_end = np.empty(n), np.empty(n)
-    for batch in ensemble_noise(on, kernel, 1, n, master_seed, _CHUNK, nodes=None if white else [node_t]):
-        rows = slice(batch.index, batch.index + len(batch))
+
+    def ends(batch):  # the rows' w(t) and x(t)
         if white:
-            w_end[rows] = 0.5 * (batch.w[:, 0, node_t - 1] + batch.w[:, 0, node_t])
-            x_t[rows] = batch.x[:, 0, node_t]
-        else:
-            w_end[rows], x_t[rows] = batch.w[:, 0, 0], batch.x[:, 0, 0]
+            return 0.5 * (batch.w[:, 0, node_t - 1] + batch.w[:, 0, node_t]), batch.x[:, 0, node_t]
+        return batch.w[:, 0, 0], batch.x[:, 0, 0]
+
+    batches = ensemble_noise(on, kernel, 1, n, master_seed, CHUNK, nodes=None if white else [node_t], task=ends,
+                             work=n * on.steps)
+    w_end, x_t = map(np.concatenate, zip(*batches))
     x_t.flags.writeable = False
     w_end.flags.writeable = False
     return x_t, w_end

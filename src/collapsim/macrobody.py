@@ -169,11 +169,14 @@ def _pair_bracket(body: MacroBody, q1: tuple, q2: tuple, alpha: float) -> float:
     if np.all(dq == 0.0):
         return 0.0
     off, k, total = body.offsets, alpha / 4.0, 0.0
+    # a coordinate along which every offset is equal and dq is 0 gives planes of exact +0.0, which add nothing
+    axes = [c for c in range(3) if dq[c] != 0.0 or np.any(off[:, c] != off[0, c])]
     for lo in range(0, len(off), _PAIR_ROWS):  # row blocks, so memory grows as N, not N^2
-        rel = [off[lo : lo + _PAIR_ROWS, None, c] - off[None, :, c] for c in range(3)]  # (rows, N) planes
-        sh = [rel[c] + dq[c] for c in range(3)]
-        r2, s2 = (p[0] * p[0] + p[1] * p[1] + p[2] * p[2] for p in (rel, sh))
-        kc = k * (2.0 * (rel[0] * dq[0] + rel[1] * dq[1] + rel[2] * dq[2]) + dq @ dq)  # k (s^2 - r^2), no cancellation
+        rel = [off[lo : lo + _PAIR_ROWS, None, c] - off[None, :, c] for c in axes]  # (rows, N) planes
+        sh = [r + dq[c] for r, c in zip(rel, axes)]
+        r2, s2 = (functools.reduce(np.add, (q * q for q in p)) for p in (rel, sh))
+        cross = functools.reduce(np.add, (r * dq[c] for r, c in zip(rel, axes)))
+        kc = k * (2.0 * cross + dq @ dq)  # k (s^2 - r^2), no cancellation
         shifted = kc < -1.0
         sign = np.where(shifted, -1.0, 1.0)
         total -= np.sum(sign * np.exp(-k * np.where(shifted, s2, r2)) * np.expm1(-sign * kc))

@@ -24,7 +24,7 @@ per batch and re-key it to (S, k) for each row, which yields the same stream
 (Philox is counter-based).  The colored transforms z @ L.T and z @ B.T are
 stacked products, one GEMM per row, so a row never depends on the batch it
 was drawn in: paths depend only on (S, k), never on chunking, nor on the
-processes a white ensemble's chunks run in; ``workers`` changes nothing.  The
+processes an ensemble's chunks run in; ``workers`` changes nothing.  The
 density estimator sums each trajectory-index batch with one stacked GEMM and
 totals the batch sums; the cooking statistics still use compensated
 summation (fsum_ordered) in trajectory-index order.
@@ -104,7 +104,8 @@ def checkpoint_indices(grid: TimeGrid, count: int = 50) -> np.ndarray:
     if not count >= 2:
         raise ConfigError(f"checkpoint count must be >= 2, got {count!r}")
     count = min(count, grid.num_nodes)
-    return np.unique(np.round(np.linspace(0, grid.steps, count)).astype(int))
+    idx = np.round(np.linspace(0, grid.steps, count)).astype(int)  # sorted, so equal entries are adjacent
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]  # not np.unique, which imports numpy.ma
 
 
 def checkpoint_schedule(grid: TimeGrid, checkpoints=None) -> np.ndarray:

@@ -10,6 +10,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -800,54 +802,94 @@ def test_row_block_writer_matches_csv_writer(tmp_path, monkeypatch, header, pool
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _fused_pass_configs():
+    """A README-shaped colored config and a white one, each of three chunks (the last of five rows), and a
+    smaller white one; the first two lie above a cut of 2^17 trajectory-steps, the third below it.  A
+    trajectory's work is its steps and ``cli._ROW_STEPS`` for each of its rows."""
+    n = 2 * dynamics.CHUNK + 5
+    white = {"kernel": {"family": "white", "gamma": 1.0}, "grid": {"t0": 0.0, "t1": 0.5, "steps": 100},
+             "reduction": {"threshold": 0.9, "min_decided": 0.0}}
+    colored = traj_config(n=n)
+    colored["ensemble"]["checkpoints"] = 11
+    assert n * (100 + 4 * cli._ROW_STEPS) > 1 << 17 > 300 * (100 + 4 * cli._ROW_STEPS)
+    return {"colored": colored, "white": traj_config(n=n, extra=white), "below": traj_config(n=300, extra=white)}
+
+
 def test_forked_writer_bytes_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
-    # 200 trajectories x 50 checkpoints = 10,000 rows: one block of more than 2 * _ROW_BLOCK rows
-    cfg = traj_config(n=200)
-    cfg["ensemble"].update(checkpoints=50, dump_paths=True)
-    cfg_path = write_config(tmp_path, cfg)
-    outs = {}
-    for cores in (1, 2):
-        forks = forks_at(monkeypatch, cores)
-        outs[cores] = tmp_path / f"cores{cores}"
-        threads = threading.active_count()
-        assert main(["--config", cfg_path, "--out", str(outs[cores])]) == 0
-        # one usable core forks nothing; two fork one process per core, for trajectories.csv:
-        # statistics.csv is small, and the streamed paths.csv (200 x 331 rows) stays serial
-        assert len(forks) == (0 if cores == 1 else cores)
-        assert threading.active_count() == threads  # the pool's threads were joined, so no later fork meets them
-    assert (outs[1] / "trajectories.csv").read_bytes().count(b"\n") == 1 + 200 * 50 > 1 + 2 * _ROW_BLOCK
-    for name in ("trajectories.csv", "statistics.csv", "paths.csv"):
-        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+    # a long ensemble is drawn, solved, classified and formatted in one forked pass, one contiguous share
+    # of its chunks per usable core; every CSV has the bytes of the serial run
+    monkeypatch.setattr(dynamics, "FORK_WORK", 1 << 17)
+    for case, cfg in _fused_pass_configs().items():
+        cfg_path = write_config(tmp_path, cfg, f"{case}.json")
+        outs = {}
+        for cores in (1, 2, 3):
+            forks = forks_at(monkeypatch, cores)
+            outs[cores] = tmp_path / f"{case}{cores}"
+            threads = threading.active_count()
+            assert main(["--config", cfg_path, "--out", str(outs[cores])]) == 0
+            assert len(forks) == (0 if cores == 1 or case == "below" else cores), case  # three chunks
+            assert threading.active_count() == threads
+        for name in ("trajectories.csv", "statistics.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes() == (outs[3] / name).read_bytes()
+    rows = (tmp_path / "colored1" / "trajectories.csv").read_bytes().count(b"\n")
+    assert rows == 1 + (2 * dynamics.CHUNK + 5) * 11
 
 
 @pytest.mark.parametrize("failure", ["raise", "kill"])
 def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, failure):
-    cfg = traj_config(n=200)
-    cfg["ensemble"]["checkpoints"] = 50
-    out, seen = tmp_path / "out", tmp_path / "seen"
+    monkeypatch.setattr(dynamics, "FORK_WORK", 1 << 17)
+    cfg = _fused_pass_configs()["colored"]
+    out = tmp_path / "out"
     forks = forks_at(monkeypatch, 2)
-    parent, cells = os.getpid(), cli._cells
+    parent, text_blocks = os.getpid(), cli._text_blocks
 
-    def failing_in_child(values):
+    def failing_in_child(columns):
         if os.getpid() != parent:
-            seen.write_text(str((out / "trajectories.csv").stat().st_size))  # what the parent flushed
             if failure == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
-            raise MemoryError("formatter child fails")
-        return cells(values)
+            raise ZeroNorm("trajectory norm fails in a share")
+        return text_blocks(columns)
 
-    monkeypatch.setattr(cli, "_cells", failing_in_child)
+    monkeypatch.setattr(cli, "_text_blocks", failing_in_child)
     with open(tmp_path / "probe", "w") as probe:
         probe.write("written once\n")  # left in this process's buffer: a child that flushed it would repeat it
-        with pytest.raises(MemoryError if failure == "raise" else BrokenProcessPool):
-            cli.run(write_config(tmp_path, cfg), str(out))
+        if failure == "raise":
+            assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+        else:
+            with pytest.raises(BrokenProcessPool):
+                cli.run(write_config(tmp_path, cfg), str(out))
     assert (tmp_path / "probe").read_text() == "written once\n"
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
     assert json.loads((out / "manifest.json").read_text())["status"] == "started"
-    header = "trajectory,t,log_weight,p_1,p_2,dominant_outcome\n"
-    assert int(seen.read_text()) == len(header)  # the parent flushed its file before it forked
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]  # no text is written before the statistics pass
+
+
+def test_dump_paths_reuses_the_ensemble_factor(tmp_path, monkeypatch):
+    # paths.csv draws from the Cholesky factor the ensemble built
+    built, build = [], dynamics.build_covariance
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(dynamics, "build_covariance", counting)
+    cfg = traj_config(n=150)
+    cfg["ensemble"]["dump_paths"] = True
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
+
+
+def test_trajectories_run_imports_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 7 ms inside a timed run; no step of a trajectories run needs it
+    cfg_path = write_config(tmp_path, traj_config(n=50))
+    probe = ("import sys; from collapsim import cli; "
+             f"assert cli.main(['--config', {cfg_path!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
+             "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_white_ensemble_pool_through_the_cli(tmp_path, monkeypatch, capsys):
@@ -858,7 +900,7 @@ def test_white_ensemble_pool_through_the_cli(tmp_path, monkeypatch, capsys):
     for cores in (1, 2):
         forks = forks_at(monkeypatch, cores)
         assert main(["--config", cfg_path, "--out", str(tmp_path / f"cores{cores}")]) == 0
-        assert len(forks) == (0 if cores == 1 else 2)  # trajectories.csv (1,029 x 4 rows) is written serially
+        assert len(forks) == (0 if cores == 1 else 2)  # one pass draws, steps and formats both chunks
     for name in ("trajectories.csv", "statistics.csv"):
         assert (tmp_path / "cores1" / name).read_bytes() == (tmp_path / "cores2" / name).read_bytes(), name
 
@@ -902,19 +944,23 @@ def test_non_finite_amplitudes_exit_3_at_the_solver(tmp_path, capsys):
 
 
 def test_trajectories_run_classifies_once(tmp_path, monkeypatch):
-    # born_frequencies classifies every checkpoint and hands the labels on to trajectories.csv
+    # each chunk classifies its rows at every checkpoint for trajectories.csv, and born_frequencies
+    # classifies the last checkpoint once more from the amplitudes the chunks hand back
     from collapsim import reduction
 
-    calls, original = [], reduction.classify_outcomes
+    rows, original = [], reduction.classify_outcomes
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(result, *args, **kwargs):
+        rows.append(result.amps.shape[0] * result.amps.shape[1])
+        return original(result, *args, **kwargs)
 
     for module in (reduction, cli):  # a module that imported the name holds its own binding
         monkeypatch.setattr(module, "classify_outcomes", counted, raising=False)
-    assert main(["--config", write_config(tmp_path, traj_config()), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 1
+    forks_at(monkeypatch, 1)
+    n = dynamics.CHUNK + 5  # two chunks
+    cfg = traj_config(n=n)
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+    assert rows == [dynamics.CHUNK * 4, 5 * 4, n]  # 4 checkpoints
 
 
 def master_config():

@@ -516,14 +516,71 @@ def test_other_ensembles_fork_nothing(monkeypatch):
     forks = forks_at(monkeypatch, 3)
     assert n * cp[-1] < dynamics.FORK_WORK  # too short to pay for the forks
     simulate_ensemble(aset, psi0, grid, white_kernel(0.6), n, 21, h0=h0, checkpoints=cp)
-    monkeypatch.setattr(dynamics, "FORK_WORK", 1)
-    for method in ("exact_commuting", "raw_linear"):  # colored: each process would need the Cholesky factor
+    for method in ("exact_commuting", "raw_linear"):
         simulate_ensemble(aset, psi0, grid, exponential_kernel(0.6, 0.2), n, 21, method=method, checkpoints=cp)
-    simulate_ensemble(aset, psi0, grid, white_kernel(0.6), n, 21, method="exact_commuting", checkpoints=cp)
-    simulate_ensemble(aset, psi0, grid, white_kernel(0.6), CHUNK, 21, h0=h0, checkpoints=cp)  # one chunk
+    monkeypatch.setattr(dynamics, "FORK_WORK", 1)
+    simulate_ensemble(aset, psi0, grid, white_kernel(0.6), 1, 21, h0=h0, checkpoints=cp)  # one trajectory
+    simulate_ensemble(aset, psi0, grid, exponential_kernel(0.6, 0.2), 1, 21, checkpoints=cp)
     wide, psi_wide, _, h0_wide, _ = _pool_problem(12)  # OpenBLAS threads its unitary product even at CHUNK // 2
     simulate_ensemble(wide, psi_wide, grid, white_kernel(0.6), n, 21, h0=h0_wide, checkpoints=cp)
     assert forks == []
+
+
+@pytest.mark.parametrize("method", ["exact_commuting", "raw_linear"])
+def test_colored_ensemble_pool_bytes_do_not_depend_on_the_core_count(monkeypatch, method):
+    # a long colored ensemble forks too, and its Cholesky factor and projection are built once, before the fork
+    monkeypatch.setattr(dynamics, "FORK_WORK", 1)
+    aset, psi0, grid, _, cp = _pool_problem()
+    parent, built, build, project = os.getpid(), [], dynamics.build_covariance, dynamics._projection
+
+    def here_only(step):
+        def call(*args):
+            assert os.getpid() == parent, "a forked process factorizes"
+            built.append(step.__name__)
+            return step(*args)
+        return call
+
+    monkeypatch.setattr(dynamics, "build_covariance", here_only(build))
+    monkeypatch.setattr(dynamics, "_projection", here_only(project))
+    arrays = {}
+    for cores in (1, 2, 3):
+        forks = forks_at(monkeypatch, cores)
+        built.clear()
+        res = simulate_ensemble(aset, psi0, grid, exponential_kernel(0.6, 0.2), 3 * CHUNK + 5, 21, method=method,
+                                checkpoints=cp)
+        assert len(forks) == (0 if cores == 1 else cores)
+        assert built == (["build_covariance", "_projection"] if method == "exact_commuting" else ["build_covariance"])
+        arrays[cores] = [a.tobytes() for a in (res.amps, res.log_weights, res.x)]
+    assert arrays[1] == arrays[2] == arrays[3]
+
+
+def test_one_chunk_above_the_cut_is_cut_into_shares(monkeypatch):
+    # the shares are contiguous ranges of trajectories, so even a one-chunk ensemble runs on every core
+    monkeypatch.setattr(dynamics, "FORK_WORK", 1)
+    aset, psi0, grid, h0, cp = _pool_problem()
+    arrays = {}
+    for cores in (1, 2):
+        forks = forks_at(monkeypatch, cores)
+        res = simulate_ensemble(aset, psi0, grid, white_kernel(0.6), CHUNK - 3, 21, h0=h0, checkpoints=cp)
+        assert len(forks) == (0 if cores == 1 else cores)
+        arrays[cores] = [a.tobytes() for a in (res.amps, res.log_weights, res.x)]
+    assert arrays[1] == arrays[2]
+
+
+def test_forked_map_inside_a_share_runs_serially(monkeypatch):
+    # a task that maps again inside its share runs that map in its own process: no fork forks again
+    forks = forks_at(monkeypatch, 2)
+
+    def pids(share):
+        return [os.getpid() for _ in share]
+
+    def outer(share):
+        return [(os.getpid(), list(dynamics._forked_map(pids, range(3)))) for _ in share]
+
+    shares = list(dynamics._forked_map(outer, range(4)))
+    assert len(shares) == 4 and len(forks) == 2
+    assert sorted({pid for pid, _ in shares}) == sorted(forks)
+    assert all(inner == [pid] * 3 for pid, inner in shares)
 
 
 _worker_forks = []  # in a daemonic worker of the test below, the forks it records

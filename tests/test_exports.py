@@ -61,7 +61,7 @@ def test_tracer_blind_spots_are_known():
         and not any(where != layer and getattr(mod, name, None) is getattr(mods[layer], name)
                     for where, mod in mods.items())
     }
-    assert blind == {"kernels.kernel_eval", "reduction.classify_outcomes"}
+    assert blind == {"kernels.kernel_eval"}  # cli binds classify_outcomes: each chunk classifies its own rows
 
 
 def test_one_pointwise_kernel_value():

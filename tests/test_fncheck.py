@@ -16,9 +16,12 @@ from collapsim import (
     sample_paths,
     white_kernel,
 )
+from collapsim import dynamics
 from collapsim.errors import UnknownFunctional
 from collapsim.fncheck import FN_FUNCTIONALS, _endpoints
 from collapsim.kernels import kernel_cumulative, kernel_double_integral, kernel_eval
+
+from conftest import forks_at
 
 GRID = TimeGrid(0.0, 1.0, 200)
 KERNELS = [white_kernel(0.8), gaussian_kernel(0.8, 0.4), exponential_kernel(0.8, 0.4)]
@@ -135,3 +138,15 @@ def test_colored_endpoints_agree_with_full_paths(kernel):
     full = sample_paths(build_covariance(GRID, kernel), 1, n, 9)
     assert np.max(np.abs(x_t - full.x[:, 0, -1])) <= 1e-14
     assert np.max(np.abs(w_end - full.w[:, 0, -1])) <= 1e-14
+
+
+@pytest.mark.parametrize("kernel", [white_kernel(0.8), gaussian_kernel(0.8, 0.4)], ids=lambda k: k.family.value)
+def test_forked_endpoint_draw_does_not_depend_on_the_core_count(monkeypatch, kernel):
+    # a long draw returns each batch's endpoints from forked processes, with the serial bits
+    got = {}
+    for cores, cut in ((1, 1), (2, 1), (3, 1), (3, 1 << 30)):
+        monkeypatch.setattr(dynamics, "FORK_WORK", cut)
+        forks = forks_at(monkeypatch, cores)
+        got[cores, cut] = [a.tobytes() for a in _endpoints.__wrapped__(kernel, GRID, 3 * dynamics.CHUNK + 5, 9)]
+        assert len(forks) == (0 if cores == 1 or cut > 1 else cores)
+    assert len(set(map(tuple, got.values()))) == 1

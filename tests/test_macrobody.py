@@ -154,6 +154,34 @@ def test_pair_bracket_row_blocks_match_40_digit_sum():
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+def _three_plane_bracket(body, dq, alpha, rows=64):
+    """The pair bracket as it was summed before identically zero planes were skipped: all three planes."""
+    off, k, total = body.offsets, alpha / 4.0, 0.0
+    for lo in range(0, len(off), rows):
+        rel = [off[lo : lo + rows, None, c] - off[None, :, c] for c in range(3)]
+        sh = [rel[c] + dq[c] for c in range(3)]
+        r2, s2 = (p[0] * p[0] + p[1] * p[1] + p[2] * p[2] for p in (rel, sh))
+        kc = k * (2.0 * (rel[0] * dq[0] + rel[1] * dq[1] + rel[2] * dq[2]) + dq @ dq)
+        shifted = kc < -1.0
+        sign = np.where(shifted, -1.0, 1.0)
+        total -= np.sum(sign * np.exp(-k * np.where(shifted, s2, r2)) * np.expm1(-sign * kc))
+    return float(total)
+
+
+def test_pair_bracket_skips_zero_planes_bit_for_bit():
+    # a lattice on the x axis with dq along x has two planes of exact +0.0; a 3-D body has none.  Both
+    # brackets keep the bits of the three-plane sum, and so do a dq along y and a dq with a -0.0 entry
+    p = MacroParams()
+    rng = np.random.default_rng(27)
+    bodies = [MacroBody.lattice(130, 1.5e-5), MacroBody(rng.normal(scale=3.0e-5, size=(70, 3)))]
+    dqs = [(3.7e-5, 0.0, 0.0), (2.1e-5, -1.3e-5, 0.7e-5), (0.0, 1.1e-5, 0.0), (4.0e-6, -0.0, 0.0)]
+    for body in bodies:
+        for dq in dqs:
+            want = _three_plane_bracket(body, np.array(dq), p.alpha)
+            got = _pair_bracket.__wrapped__(body, dq, (0.0, 0.0, 0.0), p.alpha)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), dq
+
+
 def test_pair_bracket_memory_grows_linearly_in_n():
     # one uncached call's tracemalloc peak: (N, N, 3) temporaries would grow 16x from N = 200
     # to N = 800, row blocks 4x

@@ -53,6 +53,15 @@ def test_checkpoint_indices_cover_ends():
     assert small.tolist() == [0, 1, 2, 3]
 
 
+def test_checkpoint_indices_are_np_unique_of_the_rounded_linspace():
+    # adjacent equal entries are dropped, as np.unique drops them from the sorted rounded nodes
+    for steps in (1, 2, 3, 7, 10, 49, 50, 51, 99, 330, 1000):
+        for count in (2, 3, 4, 11, 49, 50, 51, 52, 100, 331, 2000):
+            want = np.unique(np.round(np.linspace(0, steps, min(count, steps + 1))).astype(int))
+            got = checkpoint_indices(TimeGrid(0.0, 1.0, steps), count)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (steps, count)
+
+
 @pytest.mark.parametrize("count", [1, 0, -5])
 def test_checkpoint_count_below_two_is_refused(count):
     # both ends take two checkpoints; a smaller count is an error, not lifted to 2
