@@ -12,6 +12,9 @@ started manifest.  Identical config + seed gives byte-identical CSVs.
 ``trajectories`` ensemble is drawn, solved, classified and formatted in one pass
 of forked processes on every usable core whatever they say, with the same bytes,
 and its text is written only after its statistics pass; a short one runs here.
+The text is csv.writer's, built in numpy byte matrices by ``_csvtext``: floats
+take repr's shortest digits (Ryu, over whole columns), integers and bools
+their digits, and every other cell ``str``.
 
 Exit status: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -28,6 +31,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._csvtext import block_text, cells
 from .errors import CollapsimError, ConfigError
 from .hilbert import CommutingSet, DensityMatrix, initial_state, pure_density, require_commuting, validate_hamiltonian
 from .kernels import KernelFamily, eval_zero_extended, kernel_cumulative, kernel_double_integral, kernel_from_config
@@ -45,8 +49,7 @@ _REQUIRED = object()  # schema default of a key that must be given
 _BLOCK = ("object", {}, None)
 _DUMP_BLOCK = 64  # trajectories per block of paths.csv, so a large dump streams
 _ROW_BLOCK = 4096  # CSV rows formatted and written at a time
-_ROW_STEPS = 80  # a trajectories.csv row costs about as much as 80 trajectory-steps of the draw (BENCH_27.json)
-_QUOTED_CHARS = frozenset(',"\n')  # csv.writer quotes a cell holding one of these
+_ROW_STEPS = 30  # a trajectories.csv row counts as 30 trajectory-steps of the draw in the fork cut (BENCH_29.json)
 
 # block -> key -> (JSON type, default or _REQUIRED, interval or None).
 # A one-element list [k] is a list of k, a tuple lists the allowed values, and
@@ -192,27 +195,11 @@ def _parse_macro(raw, base_dir):
     return params, body, macro["displacements"], macro["times"]
 
 
-def _cells(values) -> list:
-    """One column slice as csv.writer(lineterminator="\\n") writes it: ``str`` of each Python value
-    (repr for a float), and a string holding a comma, a quote or a newline quoted, its quotes doubled."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
-        return list(map(str, values.tolist()))  # number text never needs quotes
-    text = list(map(str, values))  # a label column repeats a few strings: each distinct one is quoted once
-    quoted = {c: c if _QUOTED_CHARS.isdisjoint(c) else '"' + c.replace('"', '""') + '"' for c in set(text)}
-    return list(map(quoted.__getitem__, text))
-
-
-def _texts(values) -> np.ndarray:
-    """The cells of ``values`` as an object array, so that a column repeating them formats each once."""
-    return np.array(_cells(values), dtype=object)
-
-
 def _text_blocks(columns):
-    """The rows of equal-length ``columns`` (ndarrays or lists) as CSV text, ``_ROW_BLOCK`` rows at a time,
-    so memory does not grow with the row count; each block's text depends on its rows alone."""
+    """The rows of equal-length ``columns`` (arrays, lists or ``cells``) as CSV text, ``_ROW_BLOCK`` rows
+    at a time, so memory does not grow with the row count; each block's text depends on its rows alone."""
     for lo in range(0, len(columns[0]), _ROW_BLOCK):
-        cells = [_cells(col[lo : lo + _ROW_BLOCK]) for col in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield block_text([col[lo : lo + _ROW_BLOCK] for col in columns])
 
 
 def _write_csv(path, header, blocks):
@@ -220,7 +207,7 @@ def _write_csv(path, header, blocks):
     by ``_text_blocks``.  Several blocks let a file stream.  The bytes are csv.writer's for rows of two
     or more cells."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_cells(header)) + "\n")
+        fh.write(block_text([[name] for name in header]))
         for block in blocks:
             fh.writelines([block] if isinstance(block, str) else _text_blocks(block))
 
@@ -252,14 +239,15 @@ def _dump_paths(grid, kernel, m, n, seed, factor):
     print(f"collapsim: dumping {n} noise paths ({grid.num_nodes} nodes each); this can be a large file",
           file=sys.stderr)
     header = ["trajectory", "k", "t_k", *(f"w_{i + 1}" for i in range(m)), *(f"x_{i + 1}" for i in range(m))]
-    t_text = _texts(grid.nodes())  # each node time formatted once (integers format faster than they dedupe as text)
+    t_cells = cells(grid.nodes())  # each node time formatted once
 
     def block(batch):  # each block's paths are drawn as it is written, so memory stays bounded in n
         count = batch.w.shape[-1]  # one row per step for white noise, per node otherwise
         w = batch.w.transpose(1, 0, 2).reshape(m, -1)
         x = batch.x[:, :, :count].transpose(1, 0, 2).reshape(m, -1)
         ks = np.tile(np.arange(count), len(batch))
-        return [np.repeat(np.arange(batch.index, batch.index + len(batch)), count), ks, t_text[ks], *w, *x]
+        index = np.repeat(np.arange(batch.index, batch.index + len(batch)), count)
+        return [index, ks, t_cells.take(ks, axis=0), *w, *x]
 
     return "paths.csv", header, ensemble_noise(grid, kernel, m, n, seed, _DUMP_BLOCK, task=block, _factor=factor)
 
@@ -268,16 +256,16 @@ def _run_trajectories(system, grid, kernel, ens, red):
     aset, psi0, h0 = system
     n, seed, d = ens["trajectories"], ens["master_seed"], aset.dim
     cp = checkpoint_indices(grid, ens["checkpoints"])
-    t_text = _texts(grid.nodes()[cp])
-    labels = np.array([*(g.label for g in aset.outcome_groups()), "undecided"], dtype=object)
+    t_cells = cells(grid.nodes()[cp])  # each checkpoint time and label is formatted once, then picked per row
+    labels = cells([*(g.label for g in aset.outcome_groups()), "undecided"])
 
     def rows_text(rows):  # a chunk's rows of trajectories.csv as text, and their last checkpoint
         columns = [
-            np.repeat(_texts(np.arange(rows.index, rows.index + rows.n)), len(cp)),
-            np.tile(t_text, rows.n),
+            cells(np.arange(rows.index, rows.index + rows.n)).take(np.repeat(np.arange(rows.n), len(cp)), axis=0),
+            t_cells.take(np.tile(np.arange(len(cp)), rows.n), axis=0),
             rows.log_weights.ravel(),
             *(np.abs(rows.amps) ** 2).reshape(-1, d).T,
-            labels[classify_outcomes(rows, aset, red["threshold"]).ravel()],  # UNDECIDED (-1) picks the last label
+            labels.take(classify_outcomes(rows, aset, red["threshold"]).ravel(), axis=0),  # UNDECIDED (-1): the last
         ]
         return "".join(_text_blocks(columns)), rows.log_weights[:, -1], rows.amps[:, -1]
 

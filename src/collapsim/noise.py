@@ -218,12 +218,16 @@ def _standard_normals(shape, n: int, master_seed: int, start_index: int) -> np.n
     # One Philox per batch, re-keyed per row.  ``fresh`` is the state
     # child_generator starts from (counter 0, empty buffer, no cached uint32);
     # setting it with key[1] = start_index + k gives the stream of
-    # child_generator(master_seed, start_index + k) bit for bit.
+    # child_generator(master_seed, start_index + k) bit for bit.  Its arrays
+    # are held as lists, which the state setter reads faster.
     bits = np.random.Philox(key=np.array([master_seed, start_index], dtype=np.uint64))
     gen = np.random.Generator(bits)
     fresh = bits.state
+    fresh["state"] = {name: value.tolist() for name, value in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key = fresh["state"]["key"]
     for k in range(n):
-        fresh["state"]["key"][1] = start_index + k
+        key[1] = start_index + k
         bits.state = fresh
         gen.standard_normal(out=z[k])
     return z
@@ -287,4 +291,4 @@ def sample_white_increments(
 
 def fsum_ordered(values) -> float:
     """Compensated (exact) sum in the given order; the cooking statistics' reduction primitive."""
-    return math.fsum(np.asarray(values, dtype=float).ravel())
+    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())

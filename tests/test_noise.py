@@ -25,6 +25,7 @@ from collapsim.noise import (
     _projection,
     checkpoint_indices,
     child_generator,
+    fsum_ordered,
     left_cumulative,
     trapezoid_cumulative,
 )
@@ -177,6 +178,9 @@ def test_sampling_reproducibility_bitwise():
             top = draw(kind, 5, seed=seed, start=start)
             assert top.master_seed == seed and top.index == start
             assert_rows_are_child_streams(top)
+        # single rows at the ends of both key words
+        for seed, index in ((0, 0), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (123, 2**63), (2**63, 5)):
+            assert_rows_are_child_streams(draw(kind, 1, seed=seed, start=index))
         with pytest.raises(OverflowError):  # an index past 2**64 - 1 never wraps to 0
             draw(kind, 2, start=2**64 - 1)
 
@@ -313,3 +317,13 @@ def test_sample_count_validation():
     factor = build_covariance(grid, gaussian_kernel(1.0, 1.0))
     with pytest.raises(ConfigError):
         sample_paths(factor, 1, 0, master_seed=1)
+
+
+def test_fsum_ordered_keeps_the_exact_sum_and_its_errors():
+    # fncheck reads both errors: an undefined sum raises ValueError, an overflowing one OverflowError
+    values = np.random.default_rng(3).normal(size=(40, 400)) * 10.0 ** np.arange(-20, 20)[:, None]
+    assert fsum_ordered(values) == math.fsum(values.ravel())
+    with pytest.raises(ValueError):
+        fsum_ordered([math.inf, -math.inf])
+    with pytest.raises(OverflowError):
+        fsum_ordered([1e308, 1e308])
