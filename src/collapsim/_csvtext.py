@@ -6,9 +6,9 @@ a NUL inside a text cell is written, as csv.writer writes it; the text is decode
 repr's shortest round-trip digits from Ryu's d2d (Adams, PLDI 2018) on uint64 arrays, its 125-bit table
 entries held as 32-bit limbs and its digit-removal loop run only over the rows that still drop a digit,
 laid out in repr's notation (positional for a leading-digit exponent in [-4, 16), d.ddde+XX otherwise;
-0.0, -0.0, inf, -inf, nan).  Integers take their digits, bools a two-entry table, and any other column,
-or one of fewer than ``_VECTOR_ROWS`` numbers, str of each value with csv.writer's quoting, each distinct
-string encoded once.
+0.0, -0.0, inf, -inf, nan).  Integers take their digits, and any other column (bools too), or one of
+fewer than ``_VECTOR_ROWS`` numbers, str of each value with csv.writer's quoting, each distinct string
+encoded once.
 """
 
 from __future__ import annotations
@@ -181,15 +181,13 @@ def _float_cells(values):
 
 def cells(values) -> np.ndarray:
     """One column's cells, padded with 0xFF: a 2-D uint8 array is taken as cells, floats and integers by
-    their digits, bools by a two-entry table, anything else (and fewer than ``_VECTOR_ROWS`` numbers) by
-    ``str``.  ``take(codes, axis=0)`` picks rows."""
+    their digits, anything else (bools, and fewer than ``_VECTOR_ROWS`` numbers) by ``str``.
+    ``take(codes, axis=0)`` picks rows."""
     kind = values.dtype.kind if isinstance(values, np.ndarray) else "-"
     if kind != "-" and values.ndim == 2:
         return values
     if kind != "-" and len(values) < _VECTOR_ROWS:  # a short column pays less for str of each number
         values, kind = values.tolist(), "-"
-    if kind == "b":
-        return _BOOLS.take(values.astype(np.intp), axis=0)
     if kind == "f":
         return _float_cells(values)
     if kind in "iu":
@@ -206,9 +204,6 @@ def cells(values) -> np.ndarray:
     width = max(map(len, encoded), default=1) or 1
     table = np.frombuffer(b"".join(s.ljust(width, b"\xff") for s in encoded), np.uint8).reshape(-1, width)
     return table.take(codes, axis=0)
-
-
-_BOOLS = cells(["False", "True"])
 
 
 def block_text(columns) -> str:

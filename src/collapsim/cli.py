@@ -5,16 +5,16 @@ against one schema (unknown keys are rejected), and by the library's own rule
 functions, before anything is written; a manifest is written before any
 result file so partial runs are detectable, and every artifact is a CSV with
 a fixed documented header.  Task runners return their artifacts and ``run``
-alone writes them: only the streamed paths.csv and macro_rate.csv are computed
-as they are written, so a numerical failure anywhere else leaves only the
-started manifest.  Identical config + seed gives byte-identical CSVs.
+alone writes them: only the streamed paths.csv is computed as it is written,
+so a numerical failure anywhere else leaves only the started manifest.
+Identical config + seed gives byte-identical CSVs.
 ``ensemble.workers`` and ``--workers`` are validated and change nothing: a long
 ``trajectories`` ensemble is drawn, solved, classified and formatted in one pass
 of forked processes on every usable core whatever they say, with the same bytes,
 and its text is written only after its statistics pass; a short one runs here.
 The text is csv.writer's, built in numpy byte matrices by ``_csvtext``: floats
-take repr's shortest digits (Ryu, over whole columns), integers and bools
-their digits, and every other cell ``str``.
+take repr's shortest digits (Ryu, over whole columns), integers their digits,
+and every other cell ``str``.
 
 Exit status: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -318,12 +318,13 @@ def _run_fn_check(kernel, grid, ens, functionals):
 
 
 def _run_macro_rate(params, body, displacements, times):
-    def block(dq):  # one row block per displacement, whose decay and rate share one pair bracket
+    def rows(dq):  # one displacement's rows, whose decay and rate share one pair bracket
         q1, origin = np.array([dq, 0.0, 0.0]), np.zeros(3)
         decay = com_offdiag_decay(body, q1, origin, times, params)
         return [np.full(len(times), dq), times, macro_damping_rate(body, q1, origin, times, params), decay]
 
-    return [("macro_rate.csv", ["dQ", "t", "Gamma", "decay_factor"], map(block, displacements))]
+    columns = [np.concatenate(column) for column in zip(*map(rows, displacements))]  # all rows before any write
+    return [("macro_rate.csv", ["dQ", "t", "Gamma", "decay_factor"], [columns])]
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,11 @@ import mmap
 import os
 import pickle
 import signal
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ZeroNorm
+from .errors import ConfigError, NumericalError, ZeroNorm
 from .hilbert import CommutingSet, initial_state, require_commuting, validate_hamiltonian
 from .kernels import CorrelationKernel, KernelFamily, kernel_double_integral, require_strength
 from .noise import (
@@ -402,20 +401,15 @@ def _shared(shape, dtype=float) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize), dtype).reshape(shape)
 
 
-_in_share = False  # True in a process that _forked_map forked, which forks no further
-
-
 def _forked_map(run, args):
     """The results of ``run(share)`` for contiguous shares of the sequence ``args``, in order: one share per
     usable core (at most one per item), each in a forked process; all of ``args`` as one share in this process
-    if that is one core, inside such a share, or in a daemonic ``multiprocessing`` worker, whose caller already
-    runs one process per core.  A child pickles its share's results, or the exception it raised, into a pipe
-    and leaves through ``os._exit``; that exception is raised here, and a child that ends without a report as
-    ``BrokenProcessPool``.  Every child is reaped before this ends."""
+    if that is one core.  A child pickles its share's results, or the exception it raised, into a pipe and
+    leaves through ``os._exit``; that exception is raised here, and a child that ends without a report as a
+    ``NumericalError`` naming how it ended.  Every child is reaped before this ends."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # 1 where it cannot fork
     count = min(cores, len(args))
-    mp = sys.modules.get("multiprocessing")  # imported in any multiprocessing worker
-    if count < 2 or _in_share or (mp is not None and mp.current_process().daemon):
+    if count < 2:
         yield from run(args)
         return
     children = []  # (pid, read end of its pipe), in share order; pid 0 until forked
@@ -435,14 +429,13 @@ def _forked_map(run, args):
             try:
                 with open(read_end, "rb") as pipe:
                     done, value = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                from concurrent.futures.process import BrokenProcessPool
-
-                raise BrokenProcessPool("a forked process ended without a report") from None
+            except (EOFError, pickle.UnpicklingError):  # no report, or part of one
+                done, value = False, None
             finally:
-                os.waitpid(pid, 0)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if not done:
-                raise value
+                ended = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+                raise value or NumericalError(f"a forked process ended without a report ({ended})")
             yield from value
             del value  # this share's results, before the next share's arrive
     finally:
@@ -456,8 +449,6 @@ def _forked_map(run, args):
 def _run_share(run, share, write_end, read_ends) -> None:
     """A child's whole life in ``_forked_map``: close the parent's read ends, ``run(share)``, pickle
     ``(True, results)`` or ``(False, exception)`` into ``write_end``, then ``os._exit``."""
-    global _in_share
-    _in_share = True
     try:
         for fd in read_ends:
             os.close(fd)
@@ -494,7 +485,7 @@ def ensemble_noise(grid, kernel, num_processes, n, master_seed, rows, start_inde
             yield batch if task is None else task(batch)
 
     trajectories = range(start_index, start_index + n)
-    return _forked_map(run, trajectories) if n > 1 and work >= FORK_WORK else run(trajectories)
+    return _forked_map(run, trajectories) if work >= FORK_WORK else run(trajectories)
 
 
 def _solved_chunks(task, aset, psi0, grid, kernel, n, master_seed, h0, method, checkpoints, start_index=0,

@@ -122,7 +122,6 @@ class BornReport:
     stderr: np.ndarray  # binomial at the decided effective sample size
     n_eff: float  # over decided trajectories
     undecided_fraction: float  # cooked-weighted
-    outcomes: np.ndarray  # classify_outcomes at every checkpoint, (n, checkpoints)
 
 
 def born_frequencies(
@@ -132,14 +131,12 @@ def born_frequencies(
 
     Frequencies are conditional on the decided trajectories; the standard
     error is binomial under the reference weights at the decided effective
-    sample size, sqrt(p0 (1 - p0) / n_eff).  The report hands on the labels
-    it classified at every checkpoint.
+    sample size, sqrt(p0 (1 - p0) / n_eff).
     """
     require_min_decided(min_decided)
     w = cook_weights(result.log_weights[:, -1]).weights
     labels = [g.label for g in aset.outcome_groups()]
-    outcomes = classify_outcomes(result, aset, threshold)
-    last = outcomes[:, -1]
+    last = classify_outcomes(result, aset, threshold)[:, -1]
     decided = last != UNDECIDED
     undecided = fsum_ordered(w[~decided]) / fsum_ordered(w)
     wd, od = w[decided], last[decided]
@@ -150,7 +147,7 @@ def born_frequencies(
     born = born_weights(psi0, aset)
     freq = np.array([fsum_ordered(wd[od == g]) / denom for g in range(len(labels))])
     stderr = np.sqrt(np.clip(born * (1.0 - born), 0.0, None) / n_eff)
-    return BornReport(labels, born, freq, stderr, n_eff, undecided, outcomes)
+    return BornReport(labels, born, freq, stderr, n_eff, undecided)
 
 
 def ks_critical_value(n_eff: float) -> float:

@@ -1,6 +1,7 @@
 """Shared helpers for the collapsim test suite."""
 
 import math
+import mmap
 import os
 
 import numpy as np
@@ -57,16 +58,39 @@ def unit_grid(t1: float = 1.0, steps: int = 200) -> TimeGrid:
     return TimeGrid(0.0, t1, steps)
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process behind: " + ("running" if pid == 0 else f"pid {pid}, unreaped"))
+
+
+class _Forks:
+    """The forks that ``forks_at`` recorded, as ``len``: in this process and in every process forked from it."""
+
+    def __init__(self, record):
+        self.record = record
+
+    def __len__(self):
+        return int(self.record[0])
+
+
 def forks_at(monkeypatch, cores):
-    """Pretend this process may run on ``cores`` cores, and record the pid of each fork."""
+    """Pretend this process may run on ``cores`` cores, and count each fork.  The count lies on an anonymous
+    shared mapping made before the first fork, so a fork made inside a forked share counts too: a pass at
+    c > 1 cores that makes c forks made none in its shares."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    forks = []
+    record = np.frombuffer(mmap.mmap(-1, 8), np.int64)
 
     def recording_fork(_fork=os.fork):
         pid = _fork()
         if pid:
-            forks.append(pid)
+            record[0] += 1
         return pid
 
     monkeypatch.setattr(os, "fork", recording_fork)
-    return forks
+    return _Forks(record)

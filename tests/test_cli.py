@@ -14,7 +14,6 @@ import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -582,6 +581,26 @@ def test_macro_rate_task(tmp_path):
         assert 0.0 < float(r[3]) <= 1.0
 
 
+def test_macro_rate_failure_writes_no_rows(tmp_path, monkeypatch):
+    # every displacement's rows are computed before macro_rate.csv is opened
+    calls, decay = [], cli.com_offdiag_decay
+
+    def failing_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ZeroNorm("decay fails at the second displacement")
+        return decay(*args)
+
+    monkeypatch.setattr(cli, "com_offdiag_decay", failing_second)
+    cfg = macro_config()
+    cfg["macro"]["displacements"] = [1.0e-4, 2.0e-4, 3.0e-4]
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert len(calls) == 2
+    assert json.loads((out / "manifest.json").read_text())["status"] == "started"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 def test_env_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("COLLAPSIM_OUT", str(tmp_path / "root"))
     cfg = {
@@ -836,7 +855,7 @@ def test_forked_writer_bytes_do_not_depend_on_the_core_count(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("failure", ["raise", "kill"])
-def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, failure):
+def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, capsys, failure):
     monkeypatch.setattr(dynamics, "FORK_WORK", 1 << 17)
     cfg = _fused_pass_configs()["colored"]
     out = tmp_path / "out"
@@ -853,11 +872,9 @@ def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, failure):
     monkeypatch.setattr(cli, "_text_blocks", failing_in_child)
     with open(tmp_path / "probe", "w") as probe:
         probe.write("written once\n")  # left in this process's buffer: a child that flushed it would repeat it
-        if failure == "raise":
-            assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
-        else:
-            with pytest.raises(BrokenProcessPool):
-                cli.run(write_config(tmp_path, cfg), str(out))
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    expected = {"raise": "trajectory norm fails in a share", "kill": "(killed by SIGKILL)"}[failure]
+    assert expected in capsys.readouterr().err
     assert (tmp_path / "probe").read_text() == "written once\n"
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):  # every child was reaped

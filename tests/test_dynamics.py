@@ -3,9 +3,7 @@
 import math
 import os
 import signal
-import sys
 import threading
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -31,7 +29,7 @@ from collapsim import (
 )
 from collapsim import dynamics
 from collapsim.dynamics import CHUNK, bump_realization, ensemble_noise
-from collapsim.errors import ConfigError, NonCommuting, ZeroNorm
+from collapsim.errors import ConfigError, NonCommuting, NumericalError, ZeroNorm
 from collapsim.hilbert import pure_density
 from collapsim.kernels import kernel_cumulative, kernel_double_integral
 from collapsim.noise import NoiseBatch, left_cumulative, trapezoid_cumulative
@@ -523,7 +521,7 @@ def test_other_ensembles_fork_nothing(monkeypatch):
     simulate_ensemble(aset, psi0, grid, exponential_kernel(0.6, 0.2), 1, 21, checkpoints=cp)
     wide, psi_wide, _, h0_wide, _ = _pool_problem(12)  # OpenBLAS threads its unitary product even at CHUNK // 2
     simulate_ensemble(wide, psi_wide, grid, white_kernel(0.6), n, 21, h0=h0_wide, checkpoints=cp)
-    assert forks == []
+    assert len(forks) == 0
 
 
 @pytest.mark.parametrize("method", ["exact_commuting", "raw_linear"])
@@ -567,45 +565,6 @@ def test_one_chunk_above_the_cut_is_cut_into_shares(monkeypatch):
     assert arrays[1] == arrays[2]
 
 
-def test_forked_map_inside_a_share_runs_serially(monkeypatch):
-    # a task that maps again inside its share runs that map in its own process: no fork forks again
-    forks = forks_at(monkeypatch, 2)
-
-    def pids(share):
-        return [os.getpid() for _ in share]
-
-    def outer(share):
-        return [(os.getpid(), list(dynamics._forked_map(pids, range(3)))) for _ in share]
-
-    shares = list(dynamics._forked_map(outer, range(4)))
-    assert len(shares) == 4 and len(forks) == 2
-    assert sorted({pid for pid, _ in shares}) == sorted(forks)
-    assert all(inner == [pid] * 3 for pid, inner in shares)
-
-
-_worker_forks = []  # in a daemonic worker of the test below, the forks it records
-
-
-def _white_ensemble_bytes(n):
-    before = len(_worker_forks)
-    aset, psi0, grid, h0, cp = _pool_problem()
-    res = simulate_ensemble(aset, psi0, grid, white_kernel(0.6), n, 21, h0=h0, checkpoints=cp)
-    return len(_worker_forks) - before, [a.tobytes() for a in (res.amps, res.log_weights, res.x)]
-
-
-def test_ensemble_in_a_daemonic_worker_runs_serially(monkeypatch):
-    # a caller that runs one multiprocessing worker per task gets no forks per call from the ensemble
-    import multiprocessing
-
-    monkeypatch.setattr(dynamics, "FORK_WORK", 1)
-    monkeypatch.setattr(sys.modules[__name__], "_worker_forks", forks_at(monkeypatch, 2))
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        forked, got = pool.apply(_white_ensemble_bytes, (2 * CHUNK,))
-    assert forked == 0
-    monkeypatch.setattr(sys.modules[__name__], "_worker_forks", forks_at(monkeypatch, 1))
-    assert got == _white_ensemble_bytes(2 * CHUNK)[1]
-
-
 @pytest.mark.parametrize("failure", ["raise", "kill"])
 def test_failing_ensemble_worker_fails_the_ensemble(monkeypatch, failure):
     monkeypatch.setattr(dynamics, "FORK_WORK", 1)
@@ -622,7 +581,7 @@ def test_failing_ensemble_worker_fails_the_ensemble(monkeypatch, failure):
 
     monkeypatch.setattr(dynamics, "_stepped_chunk", failing_in_child)
     expected = pytest.raises(ZeroNorm, match="^trajectory norm fails in a worker$") if failure == "raise" \
-        else pytest.raises(BrokenProcessPool)
+        else pytest.raises(NumericalError, match=r"^a forked process ended without a report \(killed by SIGKILL\)$")
     with expected:
         simulate_ensemble(aset, psi0, grid, white_kernel(0.6), 2 * CHUNK, 21, h0=h0, checkpoints=cp)
     assert len(forks) == 2
