@@ -7,7 +7,7 @@ result file so partial runs are detectable, and every artifact is a CSV with
 a fixed documented header.  Task runners return their artifacts and ``run``
 alone writes them: only the streamed paths.csv is computed as it is written,
 so a numerical failure anywhere else leaves only the started manifest.
-Identical config + seed gives byte-identical CSVs.
+Identical config + seed gives byte-identical CSVs on one host and build (README says what else they depend on).
 ``ensemble.workers`` and ``--workers`` are validated and change nothing: a long
 ``trajectories`` ensemble is drawn, solved, classified and formatted in one pass
 of forked processes on every usable core whatever they say, with the same bytes,
@@ -186,7 +186,10 @@ def _parse_macro(raw, base_dir):
     params = MacroParams(alpha=macro["alpha"], lam=macro["lambda"], beta=beta, t0=macro["t0"])
     body = _block(macro["body"], "macro.body")
     if body["csv"] is not None:
-        body = MacroBody.from_csv(os.path.join(base_dir, body["csv"]))
+        try:
+            body = MacroBody.from_csv(os.path.join(base_dir, body["csv"]))
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
+            raise ConfigError(f"macro.body.csv {body['csv']!r} cannot be read: {exc}") from exc
     elif body["lattice_sites"] is None or body["spacing_cm"] is None:
         raise ConfigError("macro.body needs csv, or lattice_sites and spacing_cm")
     else:
@@ -375,17 +378,20 @@ def _plan(cfg, base_dir, seed=None, workers=None):
 
 
 def run(config_path: str, out_dir=None, workers=None, seed=None) -> int:
-    with open(config_path) as fh:
-        try:
+    try:
+        with open(config_path) as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, or not JSON
+        raise ConfigError(f"--config {config_path!r} is not a readable JSON file: {exc}") from exc
     top, ens, runner, args = _plan(cfg, os.path.dirname(os.path.abspath(config_path)), seed, workers)
     directory = _block(top["output"], "output")["directory"]
     if not out_dir:
         root = os.environ.get("COLLAPSIM_OUT", os.path.join(os.getcwd(), "collapsim_out"))
         out_dir = os.path.join(root, directory or top["task"])
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file in its place, or a path that cannot be made
+        raise ConfigError(f"--out or output.directory {out_dir!r} cannot be made a directory: {exc}") from exc
 
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     manifest = {
@@ -417,9 +423,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args.config, args.out, args.workers, args.seed)
-    except (CollapsimError, FileNotFoundError) as exc:  # a missing file is a validation error
-        print(f"collapsim: error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", 2)
+    except (CollapsimError, MemoryError) as exc:  # running out of memory is a numerical failure
+        print(f"collapsim: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ from .kernels import (
     kernel_double_integral,
 )
 from .dynamics import CHUNK, ensemble_noise
-from .noise import TimeGrid, fsum_ordered
+from .noise import TimeGrid, _stderr, fsum_ordered
 
 __all__ = ["FnReport", "fn_validate", "FN_FUNCTIONALS"]
 
@@ -154,9 +154,3 @@ def _endpoints(kernel: CorrelationKernel, grid: TimeGrid, n: int, master_seed: i
     x_t.flags.writeable = False
     w_end.flags.writeable = False
     return x_t, w_end
-
-
-def _stderr(samples: np.ndarray, mean: float) -> float:
-    n = samples.size
-    var = fsum_ordered((samples - mean) ** 2) / max(n - 1, 1)
-    return math.sqrt(var / n)

@@ -160,7 +160,10 @@ def kernel_from_config(block: dict, base_dir=None) -> CorrelationKernel:
         path = block.get("table_path")
         if path is None:
             raise ConfigError("kernel.table_path is required for the tabulated family")
-        lags, vals = load_kernel_table(os.path.join(base_dir or "", path))
+        try:
+            lags, vals = load_kernel_table(os.path.join(base_dir or "", path))
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
+            raise ConfigError(f"kernel.table_path {path!r} cannot be read: {exc}") from exc
         return tabulated_kernel(gamma, lags, vals)
     return CorrelationKernel(family, gamma, block.get("tau"))
 

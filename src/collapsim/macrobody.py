@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidInterval
-from .kernels import _numeric_rows
+from .kernels import CorrelationKernel, _numeric_rows, gaussian_kernel, kernel_cumulative, kernel_double_integral
 
 __all__ = [
     "SPEED_OF_LIGHT_CM_S",
@@ -79,10 +79,10 @@ class MacroParams:
 
 
 def require_beta(alpha: float, beta: float | None, where: str = "beta") -> float:
-    """beta, or c^2 alpha in its place, or a ConfigError naming ``where`` unless that is finite and > 0."""
+    """beta, or c^2 alpha in its place, or a ConfigError naming ``where`` unless that is finite and > DBL_MIN."""
     value = SPEED_OF_LIGHT_CM_S**2 * alpha if beta is None else beta
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{where} (c^2 alpha when not given) must be finite and > 0, got {value!r}")
+    if not 2.0**-1022 < value < math.inf:  # at or below DBL_MIN, 4/beta (2 tau^2 of the time kernel h) overflows
+        raise ConfigError(f"{where} (c^2 alpha when not given) must be finite and > {2.0**-1022}, got {value!r}")
     return value
 
 
@@ -127,15 +127,14 @@ def require_after_t0(times, t0: float, where: str = "t") -> None:
         raise InvalidInterval(f"{where} must be >= t0 = {t0}, got {first}")
 
 
-def _gamma_ratio(params: MacroParams, t: float) -> float:
-    """gamma(t)/gamma = erf(sqrt(beta) (t - t0) / 2), monotone from 0 to 1."""
-    require_after_t0(t, params.t0)
-    return math.erf(0.5 * math.sqrt(params.beta) * (t - params.t0))
+def _time_kernel(params: MacroParams) -> CorrelationKernel:
+    """h, the unit Gaussian time correlation with tau = sqrt(2/beta): erf(sqrt(beta) (t - t0) / 2) = 2 G(t; t0)."""
+    return gaussian_kernel(1.0, math.sqrt(2.0 / params.beta))
 
 
 def gamma_of_t(params: MacroParams, t: float) -> float:
     """Effective strength gamma(t) = 2 gamma int_{t0}^t h(t - s) ds."""
-    return params.gamma * _gamma_ratio(params, t)
+    return params.gamma * (2.0 * kernel_cumulative(_time_kernel(params), t, params.t0))
 
 
 def smeared_density(body: MacroBody, q: np.ndarray, x: np.ndarray, params: MacroParams):
@@ -196,7 +195,8 @@ def macro_damping_rate(
     separation (the linear-in-N amplification).
     """
     times = np.asarray(t, dtype=float)
-    ratios = np.array([_gamma_ratio(params, u) for u in times.ravel().tolist()]).reshape(times.shape)
+    h = _time_kernel(params)
+    ratios = np.reshape([2.0 * kernel_cumulative(h, u, params.t0) for u in times.ravel().tolist()], times.shape)
     rates = (params.reduction_rate_coeff * ratios) * _pair_bracket(body, tuple(q1), tuple(q2), params.alpha)
     return float(rates) if rates.ndim == 0 else rates
 
@@ -235,27 +235,18 @@ def macro_damping_rate_quadrature(
     return gamma_of_t(params, t) * integral
 
 
-def _gamma_ratio_time_integral(params: MacroParams, t: float) -> float:
-    """int_{t0}^{t} gamma(u)/gamma du, closed form via the erf antiderivative."""
-    k = 0.5 * math.sqrt(params.beta)
-    span = t - params.t0
-    z = k * span
-    tail = math.exp(-(z**2)) if z < 1e154 else 0.0  # past 1e154 z**2 overflows, and the exponential is 0 anyway
-    # int_0^T erf(k u) du = T erf(kT) + (e^{-k^2 T^2} - 1)/(k sqrt(pi)); erf(kT) is _gamma_ratio
-    return span * _gamma_ratio(params, t) + (tail - 1.0) / (k * math.sqrt(math.pi))
-
-
 def com_offdiag_decay(
     body: MacroBody, q1: np.ndarray, q2: np.ndarray, times, params: MacroParams
 ) -> np.ndarray:
     """Center-of-mass coherence <Q'|rho(t)|Q''> relative to its initial value.
 
     exp(-int_{t0}^{t} Gamma(Q', Q'', u) du); only gamma(u) depends on time,
-    so the geometric pair bracket factors out of the integral.
+    so the geometric pair bracket factors out of the integral; int_{t0}^{t} gamma(u)/gamma du is f(t; t0) of h.
     """
     bracket = _pair_bracket(body, tuple(q1), tuple(q2), params.alpha)
     coeff = params.reduction_rate_coeff * bracket
+    h = _time_kernel(params)
     out = np.array(
-        [math.exp(-coeff * _gamma_ratio_time_integral(params, float(t))) for t in np.atleast_1d(times)]
+        [math.exp(-coeff * kernel_double_integral(h, float(t), params.t0)) for t in np.atleast_1d(times)]
     )
     return out

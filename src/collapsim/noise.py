@@ -292,3 +292,9 @@ def sample_white_increments(
 def fsum_ordered(values) -> float:
     """Compensated (exact) sum in the given order; the cooking statistics' reduction primitive."""
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+
+
+def _stderr(samples: np.ndarray, mean: float) -> float:
+    n = samples.size
+    var = fsum_ordered((samples - mean) ** 2) / max(n - 1, 1)
+    return math.sqrt(var / n)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateEnsemble, TooManyUndecided
 from .hilbert import CommutingSet, born_weights
 from .kernels import CorrelationKernel, kernel_double_integral
-from .noise import fsum_ordered
+from .noise import _stderr, fsum_ordered
 
 __all__ = [
     "CookedWeights",
@@ -75,8 +75,8 @@ def cook_weights(log_weights) -> CookedWeights:
         mean_raw = math.exp(peak + math.log(mean_scaled))
     except OverflowError:
         mean_raw = math.inf
-    var = fsum_ordered((scaled - mean_scaled) ** 2) / max(n - 1, 1)
-    stderr = mean_raw * math.sqrt(var / n) / mean_scaled if var else 0.0  # equal weights: 0, even if mean_raw is inf
+    se = _stderr(scaled, mean_scaled)
+    stderr = mean_raw * se / mean_scaled if se else 0.0  # equal weights: 0, even if mean_raw is inf
     if not n_eff >= N_EFF_FLOOR:
         raise DegenerateEnsemble(f"effective sample size {n_eff:.2f} below floor {N_EFF_FLOOR}")
     return CookedWeights(weights, n_eff, mean_raw, stderr)

@@ -350,6 +350,7 @@ def test_float_keys_reject_non_numbers(tmp_path, capsys, case, value):
         (white_diag_config, "--workers", -3),
         (macro_config, "--seed", 99999999999999999999999),
         (macro_config, "--workers", 0),
+        (macro_config, "macro.beta", 5e-324),  # 4/beta, the 2 tau^2 of the time kernel, overflows
     ],
 )
 def test_malformed_values_exit_2_naming_the_key(tmp_path, capsys, base, where, value):
@@ -400,6 +401,62 @@ def test_missing_config_and_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def _unreadable_files(where):
+    """Write a directory, a file in place of the output directory, and for each key a file that is not
+    UTF-8 (Latin-1 text with a micro sign) into ``where``."""
+    (where / "folder").mkdir()
+    (where / "afile").write_text("a file, not a directory\n")
+    (where / "latin1.json").write_bytes('{"task": "kernel-diag", "note": "µs"}'.encode("latin-1"))
+    (where / "latin1.csv").write_bytes("lag (µs),D\n0,1.0\n1,0.0\n".encode("latin-1"))
+    (where / "body_latin1.csv").write_bytes("i,qx (µm),qy,qz\n0,0,0,0\n".encode("latin-1"))
+
+
+@pytest.mark.parametrize(
+    "where, name",
+    [
+        ("--config", "folder"),
+        ("--config", "latin1.json"),
+        ("kernel.table_path", "folder"),
+        ("kernel.table_path", "latin1.csv"),
+        ("kernel.table_path", "nope.csv"),
+        ("macro.body.csv", "folder"),
+        ("macro.body.csv", "body_latin1.csv"),
+        ("macro.body.csv", "nope.csv"),
+        ("--out", "afile"),
+    ],
+)
+def test_unreadable_input_exits_2_naming_its_key_or_flag(tmp_path, capsys, where, name):
+    # a file that is missing, a directory or not UTF-8, and an --out that cannot be made a directory, are
+    # validation errors that name the key or flag and the path, and nothing is written
+    _unreadable_files(tmp_path)
+    table = {"family": "tabulated", "gamma": 1.0, "table_path": name}
+    cfg = {"kernel.table_path": with_value(white_diag_config(), "kernel", table),
+           "macro.body.csv": with_value(macro_config(), "macro.body", {"csv": name})}.get(where, macro_config())
+    config = str(tmp_path / name) if where == "--config" else write_config(tmp_path, cfg)
+    out = tmp_path / (name if where == "--out" else "out")
+    assert main(["--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"collapsim: error: {where} ") and name in err, err
+    if where == "--out":
+        assert out.read_text() == "a file, not a directory\n"
+    else:
+        assert not out.exists()
+
+
+def test_memory_error_in_this_process_exits_3(tmp_path, monkeypatch, capsys):
+    # running out of memory is a numerical failure; a patched step raises it, and nothing is allocated
+    # (test_failing_formatter_child_fails_the_run[memory] raises it in a forked share)
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli, "born_frequencies", out_of_memory)
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, traj_config()), "--out", str(out)]) == 3
+    assert "collapsim: error: Unable to allocate 8.00 EiB for an array\n" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "started"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_noncommuting_colored_rejected(tmp_path, capsys):
@@ -805,10 +862,9 @@ _AWKWARD_COLUMNS = st.one_of(
     rows=st.sampled_from([0, 1, 5, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, *_ONE_BLOCK_ROWS]),
 )
 @example(header=["a", "b"], pools=[[_Unpicklable('x,"')], np.array([1.5]), [0], [0]], rows=2 * _ROW_BLOCK)
-def test_row_block_writer_matches_csv_writer(tmp_path, monkeypatch, header, pools, rows):
+def test_row_block_writer_matches_csv_writer(tmp_path, header, pools, rows):
     # each column repeats its drawn cells to the row count, as an ndarray or a list; the sizes
-    # around 2 * _ROW_BLOCK are one block, which is formatted in a pool of forked processes, here up to three
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    # around 2 * _ROW_BLOCK are one block, which _write_csv formats _ROW_BLOCK rows at a time in this process
     columns = [np.resize(pool, rows) if isinstance(pool, np.ndarray) else (pool * rows)[:rows]
                for pool in pools[: len(header)]]
     copies = 1 if rows in _ONE_BLOCK_ROWS else 2
@@ -854,7 +910,7 @@ def test_forked_writer_bytes_do_not_depend_on_the_core_count(tmp_path, monkeypat
     assert rows == 1 + (2 * dynamics.CHUNK + 5) * 11
 
 
-@pytest.mark.parametrize("failure", ["raise", "kill"])
+@pytest.mark.parametrize("failure", ["raise", "kill", "memory"])
 def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, capsys, failure):
     monkeypatch.setattr(dynamics, "FORK_WORK", 1 << 17)
     cfg = _fused_pass_configs()["colored"]
@@ -866,6 +922,8 @@ def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, capsys, fa
         if os.getpid() != parent:
             if failure == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
+            if failure == "memory":  # raised, never allocated, and sent back like any other error
+                raise MemoryError("Unable to allocate 8.00 EiB for an array")
             raise ZeroNorm("trajectory norm fails in a share")
         return text_blocks(columns)
 
@@ -873,7 +931,8 @@ def test_failing_formatter_child_fails_the_run(tmp_path, monkeypatch, capsys, fa
     with open(tmp_path / "probe", "w") as probe:
         probe.write("written once\n")  # left in this process's buffer: a child that flushed it would repeat it
         assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
-    expected = {"raise": "trajectory norm fails in a share", "kill": "(killed by SIGKILL)"}[failure]
+    expected = {"raise": "trajectory norm fails in a share", "kill": "(killed by SIGKILL)",
+                "memory": "collapsim: error: Unable to allocate 8.00 EiB for an array\n"}[failure]
     assert expected in capsys.readouterr().err
     assert (tmp_path / "probe").read_text() == "written once\n"
     assert len(forks) == 2
@@ -1079,6 +1138,7 @@ _ODD_INTS = {
 }
 _FILES = {"kernel.table_path": ("table.csv", "lag,D\n0,1.0\n0.5,0.5\n1.0,0.0\n"),
           "macro.body.csv": ("body.csv", "i,qx,qy,qz\n0,0,0,0\n1,1e-5,0,0\n"), "output.directory": ("run", None)}
+_UNREADABLE = ("folder", "latin1.csv")  # a directory and a file that is not UTF-8, as _unreadable_files writes them
 _NAMED_KEYS = [key if block == "config" else f"{block}.{key}" for block, keys in _SCHEMA.items()
                for key, (kind, _, _) in keys.items() if block != "config" or kind != "object"]  # not a bare block
 
@@ -1117,8 +1177,12 @@ def whole_configs(draw):
         if kind == "bool":
             return draw(st.booleans())
         if kind == "str":
-            return _FILES[where][0]
+            return path(where)
         return block(where)
+
+    def path(where):  # a table or body file; now and then a directory or a file that is not UTF-8
+        name = _FILES[where][0]
+        return name if where == "output.directory" else draw(st.sampled_from([name, name, name, *_UNREADABLE]))
 
     def block(name):
         prefix = "" if name == "config" else name + "."
@@ -1130,7 +1194,7 @@ def whole_configs(draw):
     if kernel["family"] in ("gaussian", "exponential"):
         kernel["tau"] = number("kernel.tau")
     if kernel["family"] == "tabulated":
-        kernel["table_path"] = _FILES["kernel.table_path"][0]
+        kernel["table_path"] = path("kernel.table_path")
     return cfg
 
 
@@ -1158,6 +1222,8 @@ _PINNED = [  # each exited 2 without naming its key, exited 1, or warned
     with_value(macro_config(), "macro.times", []), with_value(macro_config(), "macro.displacements", []),
     with_value(with_value(macro_config(), "macro.alpha", 1e300), "macro.times", [0.0]),  # c^2 alpha overflows
     with_value(with_value(macro_config(), "macro.beta", 1.0), "macro.times", [1e300]),
+    with_value(white_diag_config(), "kernel", {"family": "tabulated", "gamma": 1.0, "table_path": "folder"}),
+    with_value(macro_config(), "macro.body", {"csv": "latin1.csv"}),
 ]
 
 
@@ -1182,6 +1248,7 @@ def test_every_whole_config_exits_0_2_or_3(tmp_path_factory, cfg):
     # exit 2 names its key and writes nothing, exit 3 leaves the started manifest, exit 0 writes
     # finite numbers, and no RuntimeWarning escapes; the pinned configs below each failed once
     run_dir = tmp_path_factory.mktemp("whole")
+    _unreadable_files(run_dir)
     for name, text in _FILES.values():
         if text is not None:
             (run_dir / name).write_text(text)

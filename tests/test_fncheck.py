@@ -150,3 +150,22 @@ def test_forked_endpoint_draw_does_not_depend_on_the_core_count(monkeypatch, ker
         got[cores, cut] = [a.tobytes() for a in _endpoints.__wrapped__(kernel, GRID, 3 * dynamics.CHUNK + 5, 9)]
         assert len(forks) == (0 if cores == 1 or cut > 1 else cores)
     assert len(set(map(tuple, got.values()))) == 1
+
+
+@pytest.mark.parametrize("kernel", [gaussian_kernel(1.0, 0.2), white_kernel(1.0)], ids=lambda k: k.family.value)
+def test_paired_stderr_is_calibrated_over_seeds(kernel):
+    # z = (LHS - RHS) / diff_stderr over K fixed seeds is a unit normal when the stderr is right, so
+    # (K - 1) sd(z)^2 lies within chi^2(K - 1) bounds at a two-sided level of 1e-4; a stderr off by a
+    # factor of 2 either way moves sd(z) to about 0.5 or 2, far outside
+    from scipy.stats import chi2
+
+    seeds, grid = range(5000, 5200), TimeGrid(0.0, 1.0, 100)
+    z = {fn: [] for fn in ("linear_x", "exp_x")}
+    for seed in seeds:  # both functionals of a seed share one cached draw
+        for fn, values in z.items():
+            rep = fn_validate(kernel, fn, grid, 400, master_seed=seed)
+            values.append((rep.lhs - rep.rhs) / rep.diff_stderr)
+    dof = len(seeds) - 1
+    lo, hi = chi2.ppf([0.5e-4, 1.0 - 0.5e-4], dof)
+    for fn, values in z.items():
+        assert lo <= dof * np.var(values, ddof=1) <= hi, (fn, np.std(values, ddof=1))

@@ -62,6 +62,34 @@ def test_gamma_of_t_limits():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("beta", [1.0, 1.0e-300, MacroParams().beta])
+def test_gamma_ratio_and_its_integral_match_50_digit_values(beta):
+    # gamma(t)/gamma = erf(k T) and int_0^T erf(k u) du = T erf(kT) + (e^{-k^2 T^2} - 1)/(k sqrt(pi)),
+    # k = sqrt(beta)/2, against mpmath at 50 digits, where the integral's two terms do not cancel
+    p, body, far = MacroParams(beta=beta), MacroBody([[0.0, 0.0, 0.0]]), np.array([1.0e-3, 0.0, 0.0])
+    with mpmath.workdps(50):
+        k = mpmath.sqrt(mpmath.mpf(beta)) / 2
+        for z in (0.3, 1.0, 3.0, 30.0):
+            t = float(z / k)
+            kt = k * mpmath.mpf(t)
+            integral = t * mpmath.erf(kt) + (mpmath.exp(-kt * kt) - 1) / (k * mpmath.sqrt(mpmath.pi))
+            assert gamma_of_t(p, t) / p.gamma == pytest.approx(float(mpmath.erf(kt)), rel=1e-15, abs=0.0)
+            decay = com_offdiag_decay(body, far, ORIGIN, [t], MacroParams(lam=1.0 / t, beta=beta))[0]
+            assert -math.log(decay) == pytest.approx(float(integral) / t, rel=1e-13, abs=0.0)
+
+
+def test_beta_is_refused_where_the_time_kernel_overflows():
+    # at or below DBL_MIN, 4/beta (2 tau^2 of the Gaussian time kernel, tau = sqrt(2/beta)) overflows, and
+    # the refusal names beta rather than tau; the next float up still gives gamma(t)
+    least = 2.0**-1022
+    for beta in (5e-324, least):
+        with pytest.raises(ConfigError, match=r"^beta .* must be finite and > 2\.2250738585072014e-308"):
+            MacroParams(beta=beta)
+    beta = math.nextafter(least, 1.0)
+    t = 1.0 / math.sqrt(beta)
+    assert gamma_of_t(MacroParams(beta=beta), t) / MacroParams().gamma == pytest.approx(math.erf(0.5), rel=1e-15)
+
+
 def test_smeared_density_peak_and_normalization():
     p = MacroParams()
     body = MacroBody([[0.0, 0.0, 0.0]])
